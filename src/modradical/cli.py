@@ -1,8 +1,9 @@
 """Command-line interface: parse an instance file, run a command, emit a report.
 
 Exit status: 0 when the computation succeeded (and, for ``verify``, every
-claim passed), 1 when ``verify`` found counterexamples, 2 on input errors
-(malformed files, unknown names, exceeded bounds).
+claim passed), 1 when ``verify`` found counterexamples or the methods of
+``radical`` disagree, 2 on input errors (malformed files, unknown names,
+exceeded bounds).
 """
 
 from __future__ import annotations
@@ -143,14 +144,14 @@ def _run_compare(inst: InstanceFile, flags: Flags) -> dict:
     }
 
 
-def _run_radical(inst: InstanceFile, flags: Flags) -> dict:
+def _run_radical(inst: InstanceFile, flags: Flags) -> tuple[dict, int]:
     N = _named_submodule(inst, flags.name)
     by_primes = radical_by_primes(N, flags.lattice_bound)
     by_iteration, _ = radical_by_iteration(N)
     smallest = smallest_semiprime_over(N, flags.lattice_bound)
     agree = (by_primes.member_indices == by_iteration.member_indices
              == smallest.member_indices)
-    return {
+    data = {
         "command": "radical",
         **_context(inst),
         "name": flags.name,
@@ -162,6 +163,7 @@ def _run_radical(inst: InstanceFile, flags: Flags) -> dict:
         },
         "agree": agree,
     }
+    return data, (0 if agree else 1)
 
 
 def _run_radical_trace(inst: InstanceFile, flags: Flags) -> dict:
@@ -261,7 +263,7 @@ def run_command(instance: InstanceFile | None, command: str,
     if command == "compare":
         return _run_compare(instance, flags), 0
     if command == "radical":
-        return _run_radical(instance, flags), 0
+        return _run_radical(instance, flags)
     if command == "radical-trace":
         return _run_radical_trace(instance, flags), 0
     if command == "primes":
@@ -357,10 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("name", help="declared submodule name")
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--element-bound", type=int, default=DEFAULT_ELEMENT_BOUND,
-                       help="max ambient vectors enumerated per module")
-        p.add_argument("--lattice-bound", type=int, default=DEFAULT_LATTICE_BOUND,
-                       help="max module size for submodule-lattice enumeration")
+        if with_file:  # verify takes its bounds from the corpus spec
+            p.add_argument("--element-bound", type=int, default=DEFAULT_ELEMENT_BOUND,
+                           help="max ambient vectors enumerated per module")
+            p.add_argument("--lattice-bound", type=int, default=DEFAULT_LATTICE_BOUND,
+                           help="max module size for submodule-lattice enumeration")
 
     for cmd in CHECK_COMMANDS:
         common(sub.add_parser(cmd, help=f"decide {cmd.removeprefix('check-')}"),
@@ -381,8 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     flags = Flags(format=args.format, out=args.out,
-                  element_bound=args.element_bound,
-                  lattice_bound=args.lattice_bound,
+                  element_bound=getattr(args, "element_bound", DEFAULT_ELEMENT_BOUND),
+                  lattice_bound=getattr(args, "lattice_bound", DEFAULT_LATTICE_BOUND),
                   seed=getattr(args, "seed", None),
                   spec=getattr(args, "spec", None),
                   name=getattr(args, "name", None))

@@ -54,7 +54,11 @@ CLAIM_IDS = (
     "THM-RADICAL-EQ-SEMIPRIME",
 )
 
-SEPARATION_PAIRS = ("semiprime-vs-prime", "dauns-vs-semiprime")
+# notion pair -> the separation it looks for (weaker notion holds, stronger fails)
+SEPARATION_PAIRS = {
+    "semiprime-vs-prime": "SEP-SEMIPRIME-NOT-PRIME",
+    "dauns-vs-semiprime": "SEP-DAUNS-NOT-SEMIPRIME",
+}
 
 
 @dataclass(frozen=True)
@@ -180,18 +184,21 @@ def _serialize(module: ModulePresentation, subs: dict[str, Submodule]) -> str:
 
 # -- per-claim unit checks -----------------------------------------------------------
 #
-# Each checker takes the module plus named submodules and returns a failure
-# description or None.  ``verify_all`` and ``Finding.replay`` share them.
+# Each checker takes the module, the named submodules of one unit, the lattice
+# bound (None when the instance's lattice was sampled, not enumerated) and the
+# instance's selected submodules, and returns a failure description or None.
+# ``verify_all``, ``Finding.replay`` and ``find_separation`` share them
+# through ``CLAIMS``.
 
 
-def _check_prime_implies_sp(module, subs):
+def _check_prime_implies_sp(module, subs, *_):
     N = subs["N"]
     if is_prime_submodule(N).holds and not is_semiprime_submodule(N).holds:
         return "prime submodule is not semiprime"
     return None
 
 
-def _check_colon_semiprime(module, subs):
+def _check_colon_semiprime(module, subs, *_):
     N = subs["N"]
     if not is_semiprime_submodule(N).holds:
         return None
@@ -203,7 +210,7 @@ def _check_colon_semiprime(module, subs):
     return None
 
 
-def _check_free_equiv(module, subs):
+def _check_free_equiv(module, subs, *_):
     if not module.is_free:
         return None
     N = subs["N"]
@@ -212,7 +219,7 @@ def _check_free_equiv(module, subs):
     return None
 
 
-def _check_intersection(module, subs):
+def _check_intersection(module, subs, *_):
     N1, N2 = subs["N1"], subs["N2"]
     if not (is_semiprime_submodule(N1).holds and is_semiprime_submodule(N2).holds):
         return None
@@ -221,8 +228,7 @@ def _check_intersection(module, subs):
     return None
 
 
-def _check_iteration(module, subs, lattice_ok=True,
-                     lattice_bound=DEFAULT_LATTICE_BOUND):
+def _check_iteration(module, subs, lattice_bound, *_):
     N = subs["N"]
     fixpoint, trace = radical_by_iteration(N)
     prev = trace.start
@@ -235,7 +241,7 @@ def _check_iteration(module, subs, lattice_ok=True,
         prev = step.submodule
     if not is_semiprime_submodule(fixpoint).holds:
         return "iteration fixpoint is not semiprime"
-    if lattice_ok:
+    if lattice_bound is not None:
         by_primes = radical_by_primes(N, lattice_bound)
         if fixpoint.member_indices != by_primes.member_indices:
             return ("iterated radical differs from the intersection of primes: "
@@ -249,7 +255,7 @@ def _check_iteration(module, subs, lattice_ok=True,
     return None
 
 
-def _check_radical_eq(module, subs, lattice_bound=DEFAULT_LATTICE_BOUND):
+def _check_radical_eq(module, subs, lattice_bound, *_):
     N = subs["N"]
     by_primes = radical_by_primes(N, lattice_bound)
     smallest = smallest_semiprime_over(N, lattice_bound)
@@ -264,17 +270,16 @@ def _check_radical_eq(module, subs, lattice_bound=DEFAULT_LATTICE_BOUND):
     return None
 
 
-def _check_quotient(module, subs, lattice_ok=True,
-                    lattice_bound=DEFAULT_LATTICE_BOUND,
-                    available: tuple[Submodule, ...] | None = None):
+def _check_quotient(module, subs, lattice_bound, available):
     mp = subs["MP"]
     q = quotient_module(module, mp)
+    lattice_ok = lattice_bound is not None
     if lattice_ok:
         above = [N for N in enumerate_submodules(module, lattice_bound)
                  if mp.issubset(N)]
         quotient_lattice = enumerate_submodules(q.module, lattice_bound)
     else:
-        above = [N for N in (available or ()) if mp.issubset(N)]
+        above = [N for N in available if mp.issubset(N)]
         quotient_lattice = []
     for N in above:
         image = q.forward_submodule(N)
@@ -299,7 +304,7 @@ def _check_quotient(module, subs, lattice_ok=True,
     return None
 
 
-def _check_sep_semiprime_not_prime(module, subs):
+def _check_sep_semiprime_not_prime(module, subs, *_):
     N = subs["N"]
     if not N.is_proper:
         return None
@@ -308,33 +313,50 @@ def _check_sep_semiprime_not_prime(module, subs):
     return None
 
 
-def _check_sep_dauns_not_semiprime(module, subs):
+def _check_sep_dauns_not_semiprime(module, subs, *_):
     N = subs["N"]
     if is_dauns_semiprime(N).holds and not is_semiprime_submodule(N).holds:
         return "satisfies the squares condition but is not semiprime"
     return None
 
 
+# (claim id, unit shape, needs the full lattice) -> checker.  A unit is one
+# set of named submodules of an instance: "N" is each selected submodule,
+# "free N" the same on free modules only, "N1,N2" each pair of semiprime
+# ones, "MP" each one taken as the kernel of a quotient.  A claim that needs
+# the full lattice is skipped, unit by unit, on instances whose lattice was
+# sampled.  The SEP-* entries are separations: ``find_separation`` looks for
+# them and ``verify_all`` leaves them out.
+CLAIMS = {
+    ("PROP-COLON-SEMIPRIME", "N", False): _check_colon_semiprime,
+    ("PROP-FREE-EQUIV", "free N", False): _check_free_equiv,
+    ("PROP-INTERSECTION", "N1,N2", False): _check_intersection,
+    ("PROP-PRIME-IMPLIES-SP", "N", False): _check_prime_implies_sp,
+    ("PROP-QUOTIENT-CORRESPONDENCE", "MP", False): _check_quotient,
+    ("THM-ITERATION", "N", False): _check_iteration,
+    ("THM-RADICAL-EQ-SEMIPRIME", "N", True): _check_radical_eq,
+    ("SEP-SEMIPRIME-NOT-PRIME", "N", False): _check_sep_semiprime_not_prime,
+    ("SEP-DAUNS-NOT-SEMIPRIME", "N", False): _check_sep_dauns_not_semiprime,
+}
+
+
+def _units(shape: str, module, subs) -> list[dict[str, Submodule]]:
+    if shape == "MP":
+        return [{"MP": mp} for mp in subs]
+    if shape == "N1,N2":
+        semis = [N for N in subs if is_semiprime_submodule(N).holds]
+        return [{"N1": N1, "N2": N2}
+                for i, N1 in enumerate(semis) for N2 in semis[i + 1:]]
+    if shape == "free N" and not module.is_free:
+        return []
+    return [{"N": N} for N in subs]
+
+
 def _replay_check(claim_id: str, module, subs):
     bound = max(DEFAULT_LATTICE_BOUND, module.element_count)
-    if claim_id == "PROP-PRIME-IMPLIES-SP":
-        return _check_prime_implies_sp(module, subs)
-    if claim_id == "PROP-COLON-SEMIPRIME":
-        return _check_colon_semiprime(module, subs)
-    if claim_id == "PROP-FREE-EQUIV":
-        return _check_free_equiv(module, subs)
-    if claim_id == "PROP-INTERSECTION":
-        return _check_intersection(module, subs)
-    if claim_id == "PROP-QUOTIENT-CORRESPONDENCE":
-        return _check_quotient(module, subs, lattice_bound=bound)
-    if claim_id == "THM-ITERATION":
-        return _check_iteration(module, subs, lattice_bound=bound)
-    if claim_id == "THM-RADICAL-EQ-SEMIPRIME":
-        return _check_radical_eq(module, subs, lattice_bound=bound)
-    if claim_id == "SEP-SEMIPRIME-NOT-PRIME":
-        return _check_sep_semiprime_not_prime(module, subs)
-    if claim_id == "SEP-DAUNS-NOT-SEMIPRIME":
-        return _check_sep_dauns_not_semiprime(module, subs)
+    for (cid, _, _), check in CLAIMS.items():
+        if cid == claim_id:
+            return check(module, subs, bound, ())
     raise ValueError(f"unknown claim id {claim_id!r}")
 
 
@@ -389,7 +411,7 @@ class _Tally:
             self.findings.append(
                 Finding(self.claim_id, _serialize(module, subs), detail))
 
-    def skip(self, count=1):
+    def skip(self, count):
         self.skipped += count
 
     def result(self) -> ClaimResult:
@@ -412,37 +434,17 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
         module = inst.module
         subs = inst.submodules
         total_submodules += len(subs)
-        lattice_ok = inst.lattice_complete
-        for N in subs:
-            named = {"N": N}
-            tallies["PROP-PRIME-IMPLIES-SP"].unit(
-                module, named, _check_prime_implies_sp(module, named))
-            tallies["PROP-COLON-SEMIPRIME"].unit(
-                module, named, _check_colon_semiprime(module, named))
-            if module.is_free:
-                tallies["PROP-FREE-EQUIV"].unit(
-                    module, named, _check_free_equiv(module, named))
-            tallies["THM-ITERATION"].unit(
-                module, named,
-                _check_iteration(module, named, lattice_ok, spec.lattice_bound))
-            if lattice_ok:
-                tallies["THM-RADICAL-EQ-SEMIPRIME"].unit(
-                    module, named,
-                    _check_radical_eq(module, named, spec.lattice_bound))
-            else:
-                tallies["THM-RADICAL-EQ-SEMIPRIME"].skip()
-        semis = [N for N in subs if is_semiprime_submodule(N).holds]
-        for i, N1 in enumerate(semis):
-            for N2 in semis[i + 1:]:
-                named = {"N1": N1, "N2": N2}
-                tallies["PROP-INTERSECTION"].unit(
-                    module, named, _check_intersection(module, named))
-        for mp in subs:
-            named = {"MP": mp}
-            tallies["PROP-QUOTIENT-CORRESPONDENCE"].unit(
-                module, named,
-                _check_quotient(module, named, lattice_ok, spec.lattice_bound,
-                                available=subs))
+        bound = spec.lattice_bound if inst.lattice_complete else None
+        for (cid, shape, needs_lattice), check in CLAIMS.items():
+            tally = tallies.get(cid)
+            if tally is None:
+                continue
+            units = _units(shape, module, subs)
+            if needs_lattice and bound is None:
+                tally.skip(len(units))
+                continue
+            for named in units:
+                tally.unit(module, named, check(module, named, bound, subs))
     claims = tuple(tallies[cid].result() for cid in CLAIM_IDS)
     return VerificationReport(spec, len(corpus), total_submodules, claims,
                               time.perf_counter() - t0)
@@ -515,9 +517,9 @@ def find_separation(spec: CorpusSpec, pair: str) -> list[Finding]:
     by :func:`verify_all` say nothing about these converses.
     """
     if pair not in SEPARATION_PAIRS:
-        raise ValueError(f"unknown notion pair {pair!r}; expected one of {SEPARATION_PAIRS}")
-    claim_id = ("SEP-SEMIPRIME-NOT-PRIME" if pair == "semiprime-vs-prime"
-                else "SEP-DAUNS-NOT-SEMIPRIME")
+        raise ValueError(f"unknown notion pair {pair!r}; "
+                         f"expected one of {tuple(SEPARATION_PAIRS)}")
+    claim_id = SEPARATION_PAIRS[pair]
     out = []
     for inst in expand_corpus(spec):
         for N in inst.submodules:

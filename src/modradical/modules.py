@@ -20,6 +20,7 @@ from .rings import (
     RingElement,
     additive_closure,
     is_ideal_members,
+    lattice_by_joins,
 )
 
 DEFAULT_ELEMENT_BOUND = 65536
@@ -47,9 +48,11 @@ class ModulePresentation:
     representative (a tuple of ring codes) of the i-th coset, listed in
     lexicographic order, so index order and representative order agree.
     Addition and scalar action are exposed on indices (``add_i``,
-    ``scale_i``) with lazily built rows, which keeps huge free modules cheap
-    to construct while making the small quotients used by the predicates
-    fast to scan.
+    ``scale_i``) through index rows built on first use: one scalar row per
+    ring code, and one add row per element that something adds, which for
+    subgroup closures means only the generators that enlarge the set.  Huge
+    free modules stay cheap to construct while the small quotients used by
+    the predicates are fast to scan.
     """
 
     def __init__(self, ring: FiniteRing, rank: int, relations=(),
@@ -72,15 +75,10 @@ class ModulePresentation:
 
         zero_vec = (ring.zero,) * rank
         add = ring.add
-
-        def vadd(u, v):
-            return tuple(add(a, b) for a, b in zip(u, v))
-
         multiples = {tuple(ring.mul(r, c) for c in rel)
                      for rel in relations for r in range(ring.size)}
-        multiples.discard(zero_vec)
-        self.relation_members = frozenset(
-            additive_closure(zero_vec, multiples, vadd))
+        self.relation_members = frozenset(additive_closure(
+            {zero_vec}, multiples, lambda g: _VectorShift(g, add)))
 
         # Lexicographic sweep: the first unseen vector of a coset is its
         # lexicographically least member, hence the canonical representative.
@@ -92,7 +90,7 @@ class ModulePresentation:
                 continue
             reps.append(vec)
             for kv in k_list:
-                rep_of[vadd(vec, kv)] = vec
+                rep_of[tuple(map(add, vec, kv))] = vec
         self.elements: tuple[tuple, ...] = tuple(reps)
         self.element_count = len(reps)
         assert self.element_count * len(self.relation_members) == ambient
@@ -100,7 +98,6 @@ class ModulePresentation:
         self._index = {rep: i for i, rep in enumerate(reps)}
         self.zero_index = self._index[zero_vec]
 
-        self._vadd = vadd
         self._add_rows: dict[int, list[int]] = {}
         self._scale_rows: dict[int, list[int]] = {}
         self._image_sets: dict[int, frozenset[int]] = {}
@@ -143,13 +140,17 @@ class ModulePresentation:
     # -- index arithmetic ------------------------------------------------------
 
     def add_i(self, i: int, j: int) -> int:
+        return self.add_row(i)[j]
+
+    def add_row(self, i: int) -> list[int]:
+        """Index row of adding the element at index ``i``."""
         row = self._add_rows.get(i)
         if row is None:
+            idx, rep_of, add = self._index, self._rep_of, self.ring.add
             ei = self.elements[i]
-            idx, rep_of, vadd = self._index, self._rep_of, self._vadd
-            row = [idx[rep_of[vadd(ei, e)]] for e in self.elements]
+            row = [idx[rep_of[tuple(map(add, ei, e))]] for e in self.elements]
             self._add_rows[i] = row
-        return row[j]
+        return row
 
     def scale_i(self, r: int, i: int) -> int:
         return self.scaled_row(r)[i]
@@ -193,8 +194,7 @@ class ModulePresentation:
         if cached is not None:
             return cached
         gens = {self.scale_i(r, u) for r in codes for u in self.unit_indices}
-        gens.discard(self.zero_index)
-        members = frozenset(additive_closure(self.zero_index, gens, self.add_i))
+        members = frozenset(additive_closure({self.zero_index}, gens, self.add_row))
         self._action_cache[codes] = members
         return members
 
@@ -357,8 +357,7 @@ def submodule_generate(M: ModulePresentation, gens) -> Submodule:
 
 def _generate_from_indices(M: ModulePresentation, gen_indices) -> Submodule:
     steps = {M.scale_i(r, i) for i in gen_indices for r in range(M.ring.size)}
-    steps.discard(M.zero_index)
-    members = frozenset(additive_closure(M.zero_index, steps, M.add_i))
+    members = frozenset(additive_closure({M.zero_index}, steps, M.add_row))
     return Submodule(M, members, tuple(gen_indices))
 
 
@@ -428,61 +427,27 @@ def join(N1: Submodule, N2: Submodule) -> Submodule:
     if N1.module != N2.module:
         raise ValueError("submodules of different modules")
     M = N1.module
-    members = _sum_sets(M, N1.member_indices, N2.member_indices)
+    members = frozenset(additive_closure(
+        N1.member_indices, N2.member_indices, M.add_row))
     return Submodule(M, members, N1.generator_indices + N2.generator_indices)
-
-
-def _sum_sets(M: ModulePresentation, S: frozenset[int], C: frozenset[int]) -> frozenset[int]:
-    # S + C one coset of S at a time: if c already landed, so did all of S + c.
-    total = set(S)
-    s_list = list(S)
-    for c in sorted(C):
-        if c not in total:
-            add_row = M._add_rows.get(c)
-            if add_row is None:
-                M.add_i(c, c)
-                add_row = M._add_rows[c]
-            total.update(add_row[s] for s in s_list)
-    return frozenset(total)
 
 
 def enumerate_submodules(M: ModulePresentation,
                          lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
     """Every submodule of ``M``, by join-closure over cyclic submodules.
 
-    Starts from the zero submodule and repeatedly joins known submodules
-    with cyclic ones until nothing new appears; every submodule is a join of
-    cyclics, so the sweep is exhaustive.  The result is sorted by (size,
-    member list) and cached on the module.
+    Every submodule is a join of cyclic ones, so the sweep is exhaustive.
+    The result is sorted by (size, member list) and cached on the module.
     """
     if M.element_count > lattice_bound:
         raise BoundExceededError(
             f"submodule lattice of {M!r}", M.element_count, lattice_bound,
             "--lattice-bound")
-    if M._lattice is not None:
-        return list(M._lattice)
-    cyclic_gen: dict[frozenset[int], int] = {}
-    for i in range(M.element_count):
-        cyclic_gen.setdefault(M.cyclic_members(i), i)
-    cyclics = sorted(cyclic_gen, key=lambda ms: (len(ms), sorted(ms)))
-    zero_ms = frozenset({M.zero_index})
-    gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
-    frontier = [zero_ms]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for C in cyclics:
-                if C <= S:
-                    continue
-                J = _sum_sets(M, S, C)
-                if J not in gens_of:
-                    gens_of[J] = gens_of[S] + (cyclic_gen[C],)
-                    nxt.append(J)
-        frontier = nxt
-    out = [Submodule(M, ms, gens) for ms, gens in gens_of.items()]
-    out.sort(key=lambda N: (N.size, sorted(N.member_indices)))
-    M._lattice = out
-    return list(out)
+    if M._lattice is None:
+        joins = lattice_by_joins(M.element_count, M.zero_index,
+                                 M.cyclic_members, M.add_row)
+        M._lattice = [Submodule(M, ms, gens) for ms, gens in joins]
+    return list(M._lattice)
 
 
 # -- quotients -----------------------------------------------------------------------
@@ -539,6 +504,16 @@ def quotient_module(M: ModulePresentation, sub: Submodule) -> Quotient:
         cached = Quotient(M, sub)
         M._quotients[sub.member_indices] = cached
     return cached
+
+
+class _VectorShift:
+    """Translation by the vector ``g``, read like an add row: ``self[v] == v + g``."""
+
+    def __init__(self, g: tuple, add):
+        self.g, self.add = g, add
+
+    def __getitem__(self, v: tuple) -> tuple:
+        return tuple(map(self.add, v, self.g))
 
 
 def _as_code(ring: FiniteRing, c) -> int:

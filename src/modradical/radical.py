@@ -139,12 +139,11 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
 def prime_submodules(M: ModulePresentation,
                      lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
     """All prime submodules of ``M``, in lattice order (cached)."""
-    cached = M._prime_cache.get("primes")
-    if cached is not None:
-        return list(cached)
-    primes = [P for P in enumerate_submodules(M, lattice_bound)
-              if is_prime_submodule(P).holds]
-    M._prime_cache["primes"] = primes
+    lattice = enumerate_submodules(M, lattice_bound)  # checks the bound, warm or cold
+    primes = M._prime_cache.get("primes")
+    if primes is None:
+        primes = [P for P in lattice if is_prime_submodule(P).holds]
+        M._prime_cache["primes"] = primes
     return list(primes)
 
 
@@ -152,10 +151,11 @@ def radical_by_primes(N: Submodule,
                       lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Submodule:
     """Intersection of every prime submodule containing N; M when none does."""
     M = N.module
+    primes = prime_submodules(M, lattice_bound)  # checks the bound, warm or cold
     cached = M._radical_cache.get(N.member_indices)
     if cached is not None:
         return cached
-    above = [P for P in prime_submodules(M, lattice_bound) if N.issubset(P)]
+    above = [P for P in primes if N.issubset(P)]
     if not above:
         out = full_submodule(M)
     else:

@@ -20,7 +20,8 @@ _RING_CACHE: dict[str, "FiniteRing"] = {}
 
 
 class RingConstructionError(ValueError):
-    """Rejected ring construction (bad modulus, composite p, reducible poly)."""
+    """Rejected ring construction (bad modulus, composite p, reducible poly,
+    operation tables that break a ring axiom)."""
 
 
 def _is_prime(n: int) -> bool:
@@ -111,27 +112,35 @@ class FiniteRing:
 
     def _verify_axioms(self) -> None:
         n, add, mul = self.size, self._add, self._mul
-        zero, one = self.zero, self.one
+        zero, one, d = self.zero, self.one, self.descriptor
         for a in range(n):
-            assert add[a][zero] == a, f"{self.descriptor}: additive identity fails at {a}"
-            assert mul[a][one] == a, f"{self.descriptor}: multiplicative identity fails at {a}"
-            assert self._neg[a] is not None, f"{self.descriptor}: no additive inverse for {a}"
+            if add[a][zero] != a:
+                raise RingConstructionError(f"{d}: additive identity fails at {a}")
+            if mul[a][one] != a:
+                raise RingConstructionError(f"{d}: multiplicative identity fails at {a}")
+            if self._neg[a] is None:
+                raise RingConstructionError(f"{d}: no additive inverse for {a}")
         for a in range(n):
             for b in range(n):
-                assert add[a][b] == add[b][a], f"{self.descriptor}: + not commutative at ({a},{b})"
-                assert mul[a][b] == mul[b][a], f"{self.descriptor}: * not commutative at ({a},{b})"
+                if add[a][b] != add[b][a]:
+                    raise RingConstructionError(f"{d}: + not commutative at ({a},{b})")
+                if mul[a][b] != mul[b][a]:
+                    raise RingConstructionError(f"{d}: * not commutative at ({a},{b})")
         for a in range(n):
             for b in range(n):
                 ab_add = add[a][b]
                 ab_mul = mul[a][b]
                 row_a = mul[a]
                 for c in range(n):
-                    assert add[ab_add][c] == add[a][add[b][c]], \
-                        f"{self.descriptor}: + not associative at ({a},{b},{c})"
-                    assert mul[ab_mul][c] == mul[a][mul[b][c]], \
-                        f"{self.descriptor}: * not associative at ({a},{b},{c})"
-                    assert row_a[add[b][c]] == add[row_a[b]][row_a[c]], \
-                        f"{self.descriptor}: distributivity fails at ({a},{b},{c})"
+                    if add[ab_add][c] != add[a][add[b][c]]:
+                        raise RingConstructionError(
+                            f"{d}: + not associative at ({a},{b},{c})")
+                    if mul[ab_mul][c] != mul[a][mul[b][c]]:
+                        raise RingConstructionError(
+                            f"{d}: * not associative at ({a},{b},{c})")
+                    if row_a[add[b][c]] != add[row_a[b]][row_a[c]]:
+                        raise RingConstructionError(
+                            f"{d}: distributivity fails at ({a},{b},{c})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteRing):
@@ -368,10 +377,6 @@ class Ideal:
         return r in self.members
 
     @property
-    def members_sorted(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    @property
     def is_proper(self) -> bool:
         return len(self.members) < self.ring.size
 
@@ -386,26 +391,57 @@ class Ideal:
         return f"Ideal({sorted(self.members)} of {self.ring.descriptor})"
 
 
-def additive_closure(zero, step_elements, add) -> set:
-    """Closure of ``{zero}`` under adding any of ``step_elements``.
+def additive_closure(start, gens, row_of) -> set:
+    """The subgroup generated by the subgroup ``start`` together with ``gens``.
 
-    In a finite abelian group this is exactly the subgroup generated by the
-    step elements; each member is visited once, so the cost is
-    ``O(|result| * |steps|)``.
+    ``row_of(g)`` is the add row of ``g``: ``row_of(g)[x] == x + g``.  A
+    generator already in the set is skipped; any other grows the set one
+    whole coset at a time until the next translate lands back in the set.
+    The set is a subgroup throughout, so one element decides for its coset,
+    and only generators that enlarge the set cost a row.
     """
-    seen = {zero}
-    frontier = [zero]
-    steps = list(step_elements)
+    members = set(start)
+    for g in gens:
+        if g in members:
+            continue
+        row = row_of(g)
+        layer = list(members)
+        while row[layer[0]] not in members:
+            layer = [row[x] for x in layer]
+            members.update(layer)
+    return members
+
+
+def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
+    """Every subgroup that is a sum of cyclic ones, with the generators that reach it.
+
+    ``cyclic_of(x)`` is the member set of the cyclic object (principal ideal,
+    cyclic submodule) generated by ``x``; ``row_of`` is as in
+    :func:`additive_closure`.  From ``{zero}``, known sets are joined breadth
+    first with every cyclic set not inside them until nothing new appears; a
+    new set takes its parent's generators plus the least ``x`` generating the
+    cyclic set it added.  Returns ``(members, generators)`` pairs sorted by
+    (size, member list).
+    """
+    first_gen: dict[frozenset[int], int] = {}
+    for x in range(size):
+        first_gen.setdefault(cyclic_of(x), x)
+    cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
+    zero_ms = frozenset({zero})
+    gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
+    frontier = [zero_ms]
     while frontier:
         nxt = []
-        for x in frontier:
-            for g in steps:
-                y = add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
+        for S in frontier:
+            for C in cyclics:
+                if C <= S:
+                    continue
+                J = frozenset(additive_closure(S, C, row_of))
+                if J not in gens_of:
+                    gens_of[J] = gens_of[S] + (first_gen[C],)
+                    nxt.append(J)
         frontier = nxt
-    return seen
+    return sorted(gens_of.items(), key=lambda item: (len(item[0]), sorted(item[0])))
 
 
 def is_ideal_members(ring: FiniteRing, members) -> bool:
@@ -447,7 +483,7 @@ def ideal_generate(ring: FiniteRing, gens) -> Ideal:
     """
     codes = _coerce_codes(ring, gens)
     multiples = {ring.mul(r, g) for g in codes for r in range(ring.size)}
-    members = additive_closure(ring.zero, multiples, ring.add)
+    members = additive_closure({ring.zero}, multiples, ring._add.__getitem__)
     return Ideal(ring, frozenset(members), tuple(codes))
 
 
@@ -504,30 +540,7 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
 
     Results are sorted by (size, member list), smallest first.
     """
-    principals: dict[frozenset[int], int] = {}
-    for r in range(ring.size):
-        ms = frozenset(ideal_generate(ring, [r]).members)
-        principals.setdefault(ms, r)
-    cyclics = sorted(principals, key=lambda ms: (len(ms), sorted(ms)))
-    zero_ms = frozenset({ring.zero})
-    gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
-    frontier = [zero_ms]
-    while frontier:
-        nxt = []
-        for S in frontier:
-            for C in cyclics:
-                if C <= S:
-                    continue
-                # S + C, one full coset of S at a time
-                total = set(S)
-                for c in sorted(C):
-                    if c not in total:
-                        total.update(ring.add(s, c) for s in S)
-                J = frozenset(total)
-                if J not in gens_of:
-                    gens_of[J] = gens_of[S] + (principals[C],)
-                    nxt.append(J)
-        frontier = nxt
-    out = [Ideal(ring, ms, gens) for ms, gens in gens_of.items()]
-    out.sort(key=lambda I: (len(I.members), I.members_sorted))
-    return out
+    joins = lattice_by_joins(
+        ring.size, ring.zero,
+        lambda r: ideal_generate(ring, [r]).members, ring._add.__getitem__)
+    return [Ideal(ring, ms, gens) for ms, gens in joins]

@@ -36,6 +36,17 @@ def _closed_ideal(ring, ms) -> bool:
     return True
 
 
+def additive_span(ring, elements) -> frozenset[int]:
+    """Closure of ``elements`` and zero under addition, by adding every pair
+    of members until nothing new appears."""
+    out = set(elements) | {ring.zero}
+    while True:
+        new = {ring.add(a, b) for a in out for b in out} - out
+        if not new:
+            return frozenset(out)
+        out |= new
+
+
 def smallest_ideal_containing(ring, gens) -> frozenset[int]:
     """Intersection of every ideal set containing ``gens``."""
     gens = set(gens)

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+import modradical.cli
 from modradical.cli import main
+from modradical.modules import full_submodule
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,6 +57,15 @@ def test_text_mode_radical(capsys):
     assert code == 0
     assert "radical of N: [(0),(2)]" in out
     assert "methods agree: yes" in out
+
+
+def test_radical_exits_one_when_methods_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(modradical.cli, "radical_by_iteration",
+                        lambda N: (full_submodule(N.module), None))
+    code, out, _ = run_cli(capsys, "radical", str(GOLDEN / "z4_zero.instance"), "N")
+    assert code == 1
+    assert "by iteration:          [(0),(1),(2),(3)]" in out
+    assert "methods agree: no" in out
 
 
 def test_text_mode_check_includes_witness(capsys):
@@ -108,6 +119,15 @@ def test_verify_seed_override(tmp_path, capsys):
                            "--format", "structured", "--seed", "9")
     assert code == 0
     assert "spec.seed = 9" in out
+
+
+@pytest.mark.parametrize("flag", ["--element-bound", "--lattice-bound"])
+def test_verify_rejects_bound_flags(capsys, flag):
+    # the corpus spec carries the bounds verify uses
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- error handling ------------------------------------------------------------------

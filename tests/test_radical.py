@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from modradical.modules import (
+    BoundExceededError,
     enumerate_submodules,
     free_module,
     full_submodule,
@@ -61,6 +62,16 @@ def members_of(N):
 def test_prime_submodules_of_z4(z4_line):
     primes = prime_submodules(z4_line)
     assert [members_of(P) for P in primes] == [{(0,), (2,)}]
+
+
+def test_bounds_hold_with_warm_caches(z4_plane):
+    N = zero_submodule(z4_plane)
+    assert len(prime_submodules(z4_plane, 256)) == 4
+    radical_by_primes(N, 256)
+    with pytest.raises(BoundExceededError):
+        prime_submodules(z4_plane, 8)
+    with pytest.raises(BoundExceededError):
+        radical_by_primes(N, 8)
 
 
 def test_prime_submodules_match_definition_oracle():

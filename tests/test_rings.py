@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from modradical.instance import parse_ring_descriptor
 from modradical.rings import (
     FiniteRing,
     RingConstructionError,
     RingElement,
+    additive_closure,
     enumerate_ideals,
     ideal_generate,
     is_ideal_members,
@@ -149,11 +156,26 @@ def test_ideal_generate_examples():
     assert ideal_generate(z4, [3]).members == frozenset(range(4))  # 3 is a unit
 
 
-def test_ideal_generate_matches_subset_oracle():
-    z12 = make_zn(12)
-    for gens in ([], [4], [6], [3, 4], [2, 9]):
-        expected = oracles.smallest_ideal_containing(z12, gens)
-        assert ideal_generate(z12, gens).members == expected
+# In Z/12, 6 has additive order 2, 4 order 3 and 3 order 4; in Z/2 x Z/4
+# (codes a + 2b) 1 has order 2 and 2 has order 4.
+@pytest.mark.parametrize("descriptor,start,gens", [
+    pytest.param("Z/12", {0}, [], id="z12-none"),
+    pytest.param("Z/12", {0}, [4], id="z12-order3"),
+    pytest.param("Z/12", {0}, [6], id="z12-order2"),
+    pytest.param("Z/12", {0}, [3, 4], id="z12-order4-then-3"),
+    pytest.param("Z/12", {0}, [2, 9], id="z12-order6-then-4"),
+    pytest.param("Z/12", {0, 6}, [6, 0, 4], id="z12-start2-inside-then-3"),
+    pytest.param("Z/12", {0, 4, 8}, [8, 3, 6], id="z12-start3-order4-then-inside"),
+    pytest.param("product(Z/2, Z/4)", {0}, [1, 2], id="z2z4-order2-then-4"),
+    pytest.param("product(Z/2, Z/4)", {0, 4}, [4, 3, 5], id="z2z4-start2-inside-then-4"),
+])
+def test_closures_match_subset_oracles(descriptor, start, gens):
+    ring = parse_ring_descriptor(descriptor)
+    expected = oracles.additive_span(ring, start | set(gens))
+    assert additive_closure(start, gens, ring._add.__getitem__) == expected
+    codes = sorted(start) + gens
+    assert ideal_generate(ring, codes).members == \
+        oracles.smallest_ideal_containing(ring, codes)
 
 
 def test_ideal_generate_idempotent():
@@ -235,5 +257,21 @@ def test_nilpotent_radical_is_smallest_semiprime_superideal():
 def test_axioms_are_checked_at_construction():
     bad_add = tuple(tuple((a + b + 1) % 3 for b in range(3)) for a in range(3))
     mul = tuple(tuple((a * b) % 3 for b in range(3)) for a in range(3))
-    with pytest.raises(AssertionError):
+    with pytest.raises(RingConstructionError):
         FiniteRing(3, bad_add, mul, 0, 1, "broken")
+
+
+def test_axioms_are_checked_under_optimize():
+    # the multiplication table breaks the identity law: 1 * 1 = 0
+    code = ("from modradical.rings import FiniteRing, RingConstructionError\n"
+            "try:\n"
+            "    FiniteRing(2, ((0,1),(1,0)), ((0,0),(0,0)), 0, 1, 'bogus')\n"
+            "except RingConstructionError as exc:\n"
+            "    print('rejected:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rejected: bogus: multiplicative identity")
