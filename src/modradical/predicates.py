@@ -15,7 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .modules import ModulePresentation, Submodule, colon_codes
+from .modules import (
+    DEFAULT_LATTICE_BOUND,
+    ModulePresentation,
+    Submodule,
+    colon_codes,
+    enumerate_submodules,
+)
 
 
 @dataclass(frozen=True)
@@ -179,7 +185,7 @@ class NotionRow:
 
 
 def compare_notions(M: ModulePresentation,
-                    lattice_bound: int | None = None) -> list[NotionRow]:
+                    lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[NotionRow]:
     """Evaluate all predicates on every submodule of ``M``.
 
     Rows that violate an expected implication (semiprime must imply the
@@ -188,10 +194,8 @@ def compare_notions(M: ModulePresentation,
     the squares condition holds but semiprime fails is only ``SEPARATION``:
     nothing promises the converse implication.
     """
-    from .modules import DEFAULT_LATTICE_BOUND, enumerate_submodules
-    bound = DEFAULT_LATTICE_BOUND if lattice_bound is None else lattice_bound
     rows = []
-    for N in enumerate_submodules(M, bound):
+    for N in enumerate_submodules(M, lattice_bound):
         prime = bool(is_prime_submodule(N))
         semiprime = bool(is_semiprime_submodule(N))
         dauns = bool(is_dauns_semiprime(N))

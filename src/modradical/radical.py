@@ -122,17 +122,20 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
     while True:
         index += 1
         nxt, witnesses = first_radical_step(current)
-        assert current.member_indices <= nxt.member_indices
+        if not current.member_indices <= nxt.member_indices:
+            raise AssertionError(f"radical chain shrank at step {index}")
         new = tuple(M.elements[i]
                     for i in sorted(nxt.member_indices - current.member_indices))
         steps.append(RadicalStep(index, nxt, new, witnesses))
         if nxt.member_indices == current.member_indices:
             break
         current = nxt
-    assert index <= max(M.element_count, 1)
+    if index > max(M.element_count, 1):
+        raise AssertionError(f"radical chain took {index} steps in {M.element_count} elements")
     fixpoint = steps[-1].submodule
-    assert is_semiprime_submodule(fixpoint).holds, \
-        f"iteration fixpoint {sorted(fixpoint.member_indices)} is not semiprime"
+    if not is_semiprime_submodule(fixpoint).holds:
+        raise AssertionError(
+            f"iteration fixpoint {sorted(fixpoint.member_indices)} is not semiprime")
     return fixpoint, RadicalTrace(start=N, steps=tuple(steps), fixpoint_index=index)
 
 
@@ -178,5 +181,7 @@ def smallest_semiprime_over(N: Submodule,
     for S in enumerate_submodules(M, lattice_bound):
         if N.issubset(S) and is_semiprime_submodule(S).holds:
             out = intersect(out, S)
-    assert is_semiprime_submodule(out).holds
+    if not is_semiprime_submodule(out).holds:
+        raise AssertionError(
+            f"intersection {sorted(out.member_indices)} of semiprimes is not semiprime")
     return out

@@ -422,6 +422,15 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
     new set takes its parent's generators plus the least ``x`` generating the
     cyclic set it added.  Returns ``(members, generators)`` pairs sorted by
     (size, member list).
+
+    The closure kernel runs once per distinct join ``S + C`` from a set
+    ``S``, not once per cyclic set ``C``.  Two preconditions make that exact:
+    ``x`` is in ``cyclic_of(x)``, and every set met is closed under the
+    action that makes the cyclic sets (each is a sum of them).  Then ``C``
+    lies inside ``S`` exactly when its generator ``x`` does, and among the
+    joins already computed from ``S`` the one that contains ``x`` and has
+    ``|S| * |C| / |S & C|`` members is ``S + C``: it contains ``S + C`` and has
+    its size.
     """
     first_gen: dict[frozenset[int], int] = {}
     for x in range(size):
@@ -433,12 +442,20 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
     while frontier:
         nxt = []
         for S in frontier:
+            joins_by_size: dict[int, list[frozenset[int]]] = {}
             for C in cyclics:
-                if C <= S:
+                x = first_gen[C]
+                if x in S:
                     continue
-                J = frozenset(additive_closure(S, C, row_of))
+                same_size = joins_by_size.setdefault(len(S) * len(C) // len(S & C), [])
+                for J in same_size:
+                    if x in J:
+                        break
+                else:
+                    J = frozenset(additive_closure(S, C, row_of))
+                    same_size.append(J)
                 if J not in gens_of:
-                    gens_of[J] = gens_of[S] + (first_gen[C],)
+                    gens_of[J] = gens_of[S] + (x,)
                     nxt.append(J)
         frontier = nxt
     return sorted(gens_of.items(), key=lambda item: (len(item[0]), sorted(item[0])))

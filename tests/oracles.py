@@ -39,12 +39,51 @@ def _closed_ideal(ring, ms) -> bool:
 def additive_span(ring, elements) -> frozenset[int]:
     """Closure of ``elements`` and zero under addition, by adding every pair
     of members until nothing new appears."""
-    out = set(elements) | {ring.zero}
+    return pairwise_span(set(elements) | {ring.zero}, ring.add)
+
+
+def pairwise_span(elements, add) -> frozenset[int]:
+    """Closure of the non-empty ``elements`` under ``add``, by adding every
+    pair of members until nothing new appears (in a finite group that closure
+    is the subgroup they generate)."""
+    out = set(elements)
     while True:
-        new = {ring.add(a, b) for a in out for b in out} - out
+        new = {add(a, b) for a in out for b in out} - out
         if not new:
             return frozenset(out)
         out |= new
+
+
+def breadth_first_joins(size, zero, add, scale, scalars):
+    """Reference for the lattice sweep, generators and order included.
+
+    The cyclic set of ``x`` is ``{scale(r, x) for r in scalars}``.  From
+    ``{zero}``, each set of a frontier is joined, in order, with every
+    cyclic set not inside it, taken sorted by (size, member list); the join
+    is the pairwise span of the union.  A set first reached this way is
+    recorded with its parent's generators plus the least ``x`` whose cyclic
+    set was added, and joins the next frontier.  Returns ``(sorted members,
+    generators)`` pairs sorted by (size, member list).
+    """
+    first_gen = {}
+    for x in range(size):
+        first_gen.setdefault(frozenset(scale(r, x) for r in scalars), x)
+    cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
+    gens_of = {frozenset({zero}): ()}
+    frontier = list(gens_of)
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for C in cyclics:
+                if C <= S:
+                    continue
+                J = pairwise_span(S | C, add)
+                if J not in gens_of:
+                    gens_of[J] = gens_of[S] + (first_gen[C],)
+                    nxt.append(J)
+        frontier = nxt
+    return sorted(((sorted(ms), gens) for ms, gens in gens_of.items()),
+                  key=lambda item: (len(item[0]), item[0]))
 
 
 def smallest_ideal_containing(ring, gens) -> frozenset[int]:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from modradical import rings
 from modradical.modules import (
     BoundExceededError,
+    ModulePresentation,
     colon_ideal,
     colon_module,
     contains,
@@ -18,7 +20,14 @@ from modradical.modules import (
     submodule_generate,
     zero_submodule,
 )
-from modradical.rings import ideal_generate, is_ideal_members, make_zn, unit_ideal, zero_ideal
+from modradical.rings import (
+    ideal_generate,
+    is_ideal_members,
+    make_product,
+    make_zn,
+    unit_ideal,
+    zero_ideal,
+)
 
 import oracles
 
@@ -266,6 +275,38 @@ def test_enumerate_submodules_matches_subset_oracle():
                           key=lambda s: (len(s), sorted(s)))
         got = enumerate_submodules(M)
         assert [sorted(N.member_indices) for N in got] == [sorted(s) for s in expected]
+
+
+@pytest.mark.parametrize("make_module", [
+    pytest.param(lambda: free_module(make_zn(3), 2), id="z3-rank2"),
+    pytest.param(lambda: free_module(make_zn(2), 3), id="z2-rank3"),
+    pytest.param(lambda: free_module(make_zn(4), 2), id="z4-rank2"),
+    pytest.param(lambda: presented_module(make_zn(4), 2, [(2, 2)]), id="z4-rank2-mod-22"),
+    pytest.param(lambda: free_module(make_product([make_zn(2), make_zn(4)]), 1),
+                 id="z2z4-rank1"),
+])
+def test_enumerate_submodules_matches_breadth_first_reference(make_module):
+    M = make_module()
+    expected = oracles.breadth_first_joins(M.element_count, M.zero_index, M.add_i,
+                                           M.scale_i, range(M.ring.size))
+    got = [(sorted(N.member_indices), N.generator_indices) for N in enumerate_submodules(M)]
+    assert got == expected
+
+
+def test_lattice_computes_each_distinct_join_once(monkeypatch):
+    # built directly, so not interned: nothing about its lattice is cached yet
+    M = ModulePresentation(make_zn(3), 3)
+    calls = []
+    closure = rings.additive_closure
+    monkeypatch.setattr(rings, "additive_closure",
+                        lambda *args: calls.append(args) or closure(*args))
+    subs = [N.member_indices for N in enumerate_submodules(M)]
+    cyclics = {frozenset(M.scale_i(r, x) for r in range(3)) for x in range(M.element_count)}
+    joins = {(S, oracles.pairwise_span(S | C, M.add_i))
+             for S in subs for C in cyclics if not C <= S}
+    # 13 lines from zero, 4 planes above each line, the whole space above each plane
+    assert len(joins) == 13 + 13 * 4 + 13 * 1
+    assert len(calls) == len(joins)
 
 
 def test_enumerate_submodules_closure_invariants(z4_plane):

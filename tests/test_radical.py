@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modradical.modules import (
@@ -224,3 +229,34 @@ def test_whole_module_radical_is_whole_module():
         fixpoint, _ = radical_by_iteration(whole)
         assert fixpoint.member_indices == whole.member_indices
         assert smallest_semiprime_over(whole).member_indices == whole.member_indices
+
+
+def test_radical_invariants_are_checked_under_optimize():
+    # a predicate that rejects everything breaks both semiprime checks, and a
+    # step that drops to zero breaks the growing chain
+    code = ("from modradical import radical\n"
+            "from modradical.modules import free_module, full_submodule, zero_submodule\n"
+            "from modradical.predicates import Verdict\n"
+            "from modradical.rings import make_zn\n"
+            "M = free_module(make_zn(4), 1)\n"
+            "def rejected(method, N):\n"
+            "    try:\n"
+            "        method(N)\n"
+            "    except AssertionError as exc:\n"
+            "        print('rejected:', exc)\n"
+            "radical.is_semiprime_submodule = lambda N: Verdict(False)\n"
+            "rejected(radical.radical_by_iteration, zero_submodule(M))\n"
+            "rejected(radical.smallest_semiprime_over, zero_submodule(M))\n"
+            "radical.first_radical_step = lambda N: (zero_submodule(M), ())\n"
+            "rejected(radical.radical_by_iteration, full_submodule(M))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "rejected: iteration fixpoint [0, 2] is not semiprime",
+        "rejected: intersection [0, 1, 2, 3] of semiprimes is not semiprime",
+        "rejected: radical chain shrank at step 1",
+    ]

@@ -230,6 +230,14 @@ def test_enumerate_ideals_counts_match_subset_oracle():
             assert is_ideal_members(ring, I.members)
 
 
+@pytest.mark.parametrize("descriptor", ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)"])
+def test_enumerate_ideals_matches_breadth_first_reference(descriptor):
+    ring = parse_ring_descriptor(descriptor)
+    expected = oracles.breadth_first_joins(ring.size, ring.zero, ring.add, ring.mul,
+                                           range(ring.size))
+    assert [(sorted(I.members), I.generators) for I in enumerate_ideals(ring)] == expected
+
+
 def test_prime_implies_semiprime_for_all_corpus_ideals():
     for factory in SMALL_RING_FACTORIES:
         ring = factory()
