@@ -170,12 +170,18 @@ def _run_radical_trace(inst: InstanceFile, flags: Flags) -> dict:
     N = _named_submodule(inst, flags.name)
     _, trace = radical_by_iteration(N)
     steps = []
+    products: dict[int, str] = {}   # witnesses share product tuples; format each once
     for step in trace.steps:
-        witnesses = [{
-            "m": format_vec(w.m),
-            "colon": "[" + ",".join(map(str, w.colon_members)) + "]",
-            "product": format_vec_list(w.product_members),
-        } for w in step.witnesses]
+        witnesses = []
+        for w in step.witnesses:
+            product = products.get(id(w.product_members))
+            if product is None:
+                product = products[id(w.product_members)] = format_vec_list(w.product_members)
+            witnesses.append({
+                "m": format_vec(w.m),
+                "colon": "[" + ",".join(map(str, w.colon_members)) + "]",
+                "product": product,
+            })
         steps.append({
             "index": step.index,
             "members": format_vec_list(step.submodule.members),

@@ -1,11 +1,17 @@
 """Finitely presented modules over finite rings.
 
 A module is presented as R^rank modulo the relation submodule generated by a
-list of relation vectors.  Construction enumerates the ambient space once,
-picks the lexicographically least vector of each coset as its canonical
-representative, and from then on works with dense element indices; the tuple
-representatives only appear at the API surface.  Everything is immutable
-after construction and all operations are pure.
+list of relation vectors.  Ambient vectors are coded as mixed-radix integers
+(the first coordinate most significant), so code order is lexicographic
+order.  Construction enumerates the ambient space once, picks the
+lexicographically least vector of each coset as its canonical
+representative, and from then on works with dense element indices: in a free
+module an element's index is its code, and a presented module maps ambient
+codes to indices with one list.  Scalar and add rows are built coordinate by
+coordinate from the ring's table rows; a lone product or sum is computed from
+the coordinates without a row.  The tuple representatives only appear at the
+API surface.  Everything is immutable after construction and all operations
+are pure.
 """
 
 from __future__ import annotations
@@ -27,6 +33,18 @@ DEFAULT_ELEMENT_BOUND = 65536
 DEFAULT_LATTICE_BOUND = 256
 
 _PRESENTATION_CACHE: dict[tuple, "ModulePresentation"] = {}
+_CODES: list[int] = []
+
+
+def _shared_codes(n: int) -> list[int]:
+    """The one ``list(range(...))``, at least ``n`` long, that rows draw entries from.
+
+    It only grows and always holds ``codes[i] == i``, so sharing it between
+    modules shares int objects and nothing else.
+    """
+    if len(_CODES) < n:
+        _CODES.extend(range(len(_CODES), n))
+    return _CODES
 
 
 class BoundExceededError(RuntimeError):
@@ -47,12 +65,20 @@ class ModulePresentation:
     ``relations`` generate K inside R^rank.  ``elements[i]`` is the canonical
     representative (a tuple of ring codes) of the i-th coset, listed in
     lexicographic order, so index order and representative order agree.
-    Addition and scalar action are exposed on indices (``add_i``,
-    ``scale_i``) through index rows built on first use: one scalar row per
-    ring code, and one add row per element that something adds, which for
-    subgroup closures means only the generators that enlarge the set.  Huge
-    free modules stay cheap to construct while the small quotients used by
-    the predicates are fast to scan.
+
+    An ambient vector v is coded as the integer sum of v[j] * |R|^(rank-1-j);
+    code order is lexicographic order, so in a free module an element's index
+    is its code.  A presented module keeps ``_class_of``, the index of the
+    coset of every ambient code, and ``_rep_codes``, the code of every
+    representative.  Addition and scalar action are exposed on indices
+    (``add_i``, ``scale_i``) through index rows built on first use: one
+    scalar row per ring code, and one add row per element that something
+    adds, which for subgroup closures means only the generators that enlarge
+    the set.  A row is built from the ring's table rows one coordinate at a
+    time and every entry is drawn from one shared ``list(range(n))``, so a
+    row costs n pointers.  A lone product or sum, with no row built yet, is
+    computed from the coordinates instead, so huge free modules stay cheap
+    to construct and to generate in while the scans read whole rows.
     """
 
     def __init__(self, ring: FiniteRing, rank: int, relations=(),
@@ -80,23 +106,38 @@ class ModulePresentation:
         self.relation_members = frozenset(additive_closure(
             {zero_vec}, multiples, lambda g: _VectorShift(g, add)))
 
-        # Lexicographic sweep: the first unseen vector of a coset is its
-        # lexicographically least member, hence the canonical representative.
-        rep_of: dict[tuple, tuple] = {}
-        reps: list[tuple] = []
-        k_list = sorted(self.relation_members)
-        for vec in _cartesian(range(ring.size), repeat=rank):
-            if vec in rep_of:
-                continue
-            reps.append(vec)
-            for kv in k_list:
-                rep_of[tuple(map(add, vec, kv))] = vec
-        self.elements: tuple[tuple, ...] = tuple(reps)
-        self.element_count = len(reps)
-        assert self.element_count * len(self.relation_members) == ambient
-        self._rep_of = rep_of
-        self._index = {rep: i for i, rep in enumerate(reps)}
-        self.zero_index = self._index[zero_vec]
+        vectors = _cartesian(range(ring.size), repeat=rank)
+        if len(self.relation_members) == 1:
+            self.elements: tuple[tuple, ...] = tuple(vectors)
+            self._class_of = self._rep_codes = range(ambient)
+        else:
+            # Lexicographic sweep: the first unseen vector of a coset is its
+            # lexicographically least member, hence the canonical representative.
+            codes = _shared_codes(ambient)
+            class_of: list = [None] * ambient
+            reps: list[tuple] = []
+            rep_codes: list[int] = []
+            k_list = sorted(self.relation_members)
+            for code, vec in zip(codes, vectors):
+                if class_of[code] is not None:
+                    continue
+                index = codes[len(reps)]
+                reps.append(vec)
+                rep_codes.append(code)
+                for kv in k_list:
+                    class_of[self._code(map(add, vec, kv))] = index
+            self.elements = tuple(reps)
+            self._class_of, self._rep_codes = class_of, rep_codes
+        self.element_count = len(self.elements)
+        if self.element_count * len(self.relation_members) != ambient:
+            raise AssertionError(
+                f"{self.element_count} cosets of {len(self.relation_members)} "
+                f"relation vectors do not fill {ambient} ambient vectors")
+        self.zero_index = self._index_of_vec(zero_vec)
+        # indices of the images of the standard basis vectors (generators of M)
+        self.unit_indices: tuple[int, ...] = tuple(
+            self._index_of_vec(ring.one if j == i else ring.zero for j in range(rank))
+            for i in range(rank))
 
         self._add_rows: dict[int, list[int]] = {}
         self._scale_rows: dict[int, list[int]] = {}
@@ -116,20 +157,40 @@ class ModulePresentation:
     def is_free(self) -> bool:
         return len(self.relation_members) == 1
 
-    def reduce(self, vec: Sequence[int]) -> tuple:
-        """Canonical representative of the coset of ``vec``."""
+    def _code(self, vec) -> int:
+        """Ambient code of a vector of ring codes."""
+        size = self.ring.size
+        code = 0
+        for c in vec:
+            code = code * size + c
+        return code
+
+    def _index_of_vec(self, vec) -> int:
+        return self._class_of[self._code(vec)]
+
+    def _checked(self, vec: Sequence[int]) -> tuple:
         vec = tuple(_as_code(self.ring, c) for c in vec)
         if len(vec) != self.rank:
             raise ValueError(f"vector {vec} has length {len(vec)}, expected {self.rank}")
-        return self._rep_of[vec]
+        return vec
+
+    def _is_rep(self, rep) -> bool:
+        size = self.ring.size
+        return (isinstance(rep, tuple) and len(rep) == self.rank
+                and all(isinstance(c, int) and 0 <= c < size for c in rep)
+                and self.elements[self._index_of_vec(rep)] == rep)
+
+    def reduce(self, vec: Sequence[int]) -> tuple:
+        """Canonical representative of the coset of ``vec``."""
+        return self.elements[self._index_of_vec(self._checked(vec))]
 
     def index_of(self, item) -> int:
         """Element index of a vector, representative, or :class:`ModuleElement`."""
         if isinstance(item, ModuleElement):
             if item.module is not self and item.module != self:
                 raise ValueError("element from a different module")
-            return self._index[item.rep]
-        return self._index[self.reduce(item)]
+            return self._index_of_vec(item.rep)
+        return self._index_of_vec(self._checked(item))
 
     def element(self, vec) -> "ModuleElement":
         return ModuleElement(self, self.reduce(vec))
@@ -139,29 +200,52 @@ class ModulePresentation:
 
     # -- index arithmetic ------------------------------------------------------
 
+    def _row(self, tables) -> list[int]:
+        """Index row of the map sending coordinate j of a vector ``c`` to ``tables[j][c]``.
+
+        The ambient row is built from the last coordinate to the first: a
+        block of ``size`` codes becomes ``len(table)`` blocks, the one for
+        coordinate value x shifted by ``table[x] * size``.
+        """
+        codes = _shared_codes(self.ring.size ** self.rank)
+        row = codes[:1]
+        size = 1
+        for table in reversed(tables):
+            nxt: list[int] = []
+            for a in table:
+                nxt.extend(map(codes[a * size:(a + 1) * size].__getitem__, row))
+            row = nxt
+            size *= len(table)
+        if self.is_free:
+            return row
+        return list(map(self._class_of.__getitem__, map(row.__getitem__, self._rep_codes)))
+
     def add_i(self, i: int, j: int) -> int:
-        return self.add_row(i)[j]
+        row = self._add_rows.get(i)
+        if row is not None:
+            return row[j]
+        return self._index_of_vec(map(self.ring.add, self.elements[i], self.elements[j]))
 
     def add_row(self, i: int) -> list[int]:
         """Index row of adding the element at index ``i``."""
         row = self._add_rows.get(i)
         if row is None:
-            idx, rep_of, add = self._index, self._rep_of, self.ring.add
-            ei = self.elements[i]
-            row = [idx[rep_of[tuple(map(add, ei, e))]] for e in self.elements]
+            add = self.ring._add
+            row = self._row([add[c] for c in self.elements[i]])
             self._add_rows[i] = row
         return row
 
     def scale_i(self, r: int, i: int) -> int:
-        return self.scaled_row(r)[i]
+        row = self._scale_rows.get(r)
+        if row is not None:
+            return row[i]
+        return self._index_of_vec(map(self.ring._mul[r].__getitem__, self.elements[i]))
 
     def scaled_row(self, r: int) -> list[int]:
         """Index row of the scalar action of ring code ``r``."""
         row = self._scale_rows.get(r)
         if row is None:
-            mul = self.ring.mul
-            idx, rep_of = self._index, self._rep_of
-            row = [idx[rep_of[tuple(mul(r, c) for c in e)]] for e in self.elements]
+            row = self._row([self.ring._mul[r]] * self.rank)
             self._scale_rows[r] = row
         return row
 
@@ -172,16 +256,6 @@ class ModulePresentation:
             out = frozenset(self.scaled_row(r))
             self._image_sets[r] = out
         return out
-
-    @property
-    def unit_indices(self) -> tuple[int, ...]:
-        """Indices of the images of the standard basis vectors (generators of M)."""
-        out = []
-        for i in range(self.rank):
-            vec = tuple(self.ring.one if j == i else self.ring.zero
-                        for j in range(self.rank))
-            out.append(self._index[self._rep_of[vec]])
-        return tuple(out)
 
     def ideal_action(self, codes: frozenset[int]) -> frozenset[int]:
         """Member indices of I*M for the ideal with member codes ``codes``.
@@ -202,7 +276,7 @@ class ModulePresentation:
         """Member indices of R*m for the element at index ``i``."""
         out = self._cyclic_cache.get(i)
         if out is None:
-            out = frozenset(self.scale_i(r, i) for r in range(self.ring.size))
+            out = frozenset(self.scaled_row(r)[i] for r in range(self.ring.size))
             self._cyclic_cache[i] = out
         return out
 
@@ -230,7 +304,7 @@ class ModuleElement:
     rep: tuple
 
     def __post_init__(self):
-        if self.rep not in self.module._index:
+        if not self.module._is_rep(self.rep):
             raise ValueError(f"{self.rep} is not a canonical representative")
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
@@ -356,9 +430,13 @@ def submodule_generate(M: ModulePresentation, gens) -> Submodule:
 
 
 def _generate_from_indices(M: ModulePresentation, gen_indices) -> Submodule:
-    steps = {M.scale_i(r, i) for i in gen_indices for r in range(M.ring.size)}
-    members = frozenset(additive_closure({M.zero_index}, steps, M.add_row))
-    return Submodule(M, members, tuple(gen_indices))
+    # the set is a submodule after each generator, so one already inside adds nothing
+    members = {M.zero_index}
+    for i in gen_indices:
+        if i not in members:
+            members = additive_closure(
+                members, [M.scale_i(r, i) for r in range(M.ring.size)], M.add_row)
+    return Submodule(M, frozenset(members), tuple(gen_indices))
 
 
 def contains(N: Submodule, m) -> bool:
@@ -369,19 +447,30 @@ def contains(N: Submodule, m) -> bool:
 # -- colon ideals and ideal action ------------------------------------------------
 
 
-def colon_codes(N: Submodule, m_index: int) -> frozenset[int]:
-    """Member codes of the colon ideal (N : m) = {r : r*m in N}."""
-    M = N.module
+def colon_codes(N: Submodule, m_index: int, rows=None) -> frozenset[int]:
+    """Member codes of the colon ideal (N : m) = {r : r*m in N}.
+
+    ``rows`` is the list of every scaled row of the module, for scans that
+    ask for many elements.
+    """
+    if rows is None:
+        rows = scaled_rows(N.module)
     ms = N.member_indices
-    return frozenset(r for r in range(M.ring.size) if M.scaled_row(r)[m_index] in ms)
+    return frozenset(r for r, row in enumerate(rows) if row[m_index] in ms)
+
+
+def scaled_rows(M: ModulePresentation) -> list[list[int]]:
+    """The scaled row of every ring code, in code order."""
+    return [M.scaled_row(r) for r in range(M.ring.size)]
 
 
 def colon_ideal(N: Submodule, m) -> Ideal:
     """The colon ideal (N : m) as a full :class:`~modradical.rings.Ideal`."""
     M = N.module
     codes = colon_codes(N, M.index_of(m) if not isinstance(m, int) else m)
-    assert is_ideal_members(M.ring, codes), \
-        f"colon set {sorted(codes)} is not an ideal in {M.ring.descriptor}"
+    if not is_ideal_members(M.ring, codes):
+        raise AssertionError(
+            f"colon set {sorted(codes)} is not an ideal in {M.ring.descriptor}")
     return Ideal(M.ring, codes, tuple(sorted(codes)))
 
 
@@ -396,8 +485,10 @@ def colon_module(N: Submodule, M: ModulePresentation) -> Ideal:
     ms = N.member_indices
     codes = frozenset(
         r for r in range(M.ring.size)
-        if all(M.scaled_row(r)[u] in ms for u in M.unit_indices))
-    assert is_ideal_members(M.ring, codes)
+        if all(M.scale_i(r, u) in ms for u in M.unit_indices))
+    if not is_ideal_members(M.ring, codes):
+        raise AssertionError(
+            f"colon set {sorted(codes)} of the module is not an ideal in {M.ring.descriptor}")
     return Ideal(M.ring, codes, tuple(sorted(codes)))
 
 
@@ -466,8 +557,8 @@ class Quotient:
         ambient = source.ring.size ** source.rank
         self.module = presented_module(source.ring, source.rank, relations,
                                        element_bound=max(ambient, DEFAULT_ELEMENT_BOUND))
-        q = self.module
-        self.forward_row = [q.index_of(vec) for vec in source.elements]
+        # same ring and rank, so ambient codes agree
+        self.forward_row = list(map(self.module._class_of.__getitem__, source._rep_codes))
 
     def forward(self, m) -> ModuleElement:
         """Image in M/M' of an element of M."""
@@ -493,7 +584,8 @@ class Quotient:
             src, lifted + self.submodule.generator_indices)
         preimage = frozenset(i for i in range(src.element_count)
                              if self.forward_row[i] in Nq.member_indices)
-        assert out.member_indices == preimage
+        if out.member_indices != preimage:
+            raise AssertionError("generated preimage differs from the coset preimage")
         return out
 
 

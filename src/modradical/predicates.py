@@ -21,6 +21,7 @@ from .modules import (
     Submodule,
     colon_codes,
     enumerate_submodules,
+    scaled_rows,
 )
 
 
@@ -123,11 +124,12 @@ def is_semiprime_submodule(N: Submodule) -> Verdict:
     if cached is not None:
         return cached
     ms = N.member_indices
+    rows = scaled_rows(M)
     verdict = Verdict(True)
     for mi in range(M.element_count):
         if mi in ms:
             continue  # m in N never violates
-        colon = colon_codes(N, mi)
+        colon = colon_codes(N, mi, rows)
         product = M.ideal_action(colon)
         if mi in product:
             verdict = Verdict(False, PredicateWitness(
@@ -163,10 +165,11 @@ def is_cimpric_semiprime(N: Submodule) -> Verdict:
     if not M.is_free:
         raise ValueError("coordinate semiprimeness is defined on free modules only")
     ms = N.member_indices
+    rows = scaled_rows(M)
     for mi, vec in enumerate(M.elements):
         if mi in ms:
             continue
-        if all(M.scaled_row(c)[mi] in ms for c in vec):
+        if all(rows[c][mi] in ms for c in vec):
             return Verdict(False, PredicateWitness(
                 kind="cimpric", submodule=N, m=vec))
     return Verdict(True)

@@ -20,6 +20,7 @@ from .modules import (
     enumerate_submodules,
     full_submodule,
     intersect,
+    scaled_rows,
     _generate_from_indices,
 )
 from .predicates import is_prime_submodule, is_semiprime_submodule
@@ -82,25 +83,28 @@ def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[RadicalGeneratorW
 
     Elements of N always qualify (their colon ideal is the whole ring), so
     the chain can only grow.  Witnesses are recorded for the qualifying
-    elements outside N.
+    elements outside N; witnesses with the same (N:m)M share one member tuple.
     """
     M = N.module
     ms = N.member_indices
+    rows = scaled_rows(M)
     qualifying = []
     witnesses = []
+    product_members: dict[frozenset[int], tuple] = {}
     els = M.elements
     for mi in range(M.element_count):
         if mi in ms:
             qualifying.append(mi)
             continue
-        colon = colon_codes(N, mi)
+        colon = colon_codes(N, mi, rows)
         product = M.ideal_action(colon)
         if mi in product:
             qualifying.append(mi)
+            members = product_members.get(product)
+            if members is None:
+                members = product_members[product] = tuple(els[i] for i in sorted(product))
             witnesses.append(RadicalGeneratorWitness(
-                m=els[mi],
-                colon_members=tuple(sorted(colon)),
-                product_members=tuple(els[i] for i in sorted(product))))
+                m=els[mi], colon_members=tuple(sorted(colon)), product_members=members))
     return _generate_from_indices(M, tuple(qualifying)), tuple(witnesses)
 
 

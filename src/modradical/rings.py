@@ -547,8 +547,8 @@ def nilpotent_radical_of_ideal(I: Ideal) -> Ideal:
                 members.add(r)
                 break
             x = ring.mul(x, r)
-    assert is_ideal_members(ring, members), \
-        f"radical of {sorted(ms)} in {ring.descriptor} is not an ideal"
+    if not is_ideal_members(ring, members):
+        raise AssertionError(f"radical of {sorted(ms)} in {ring.descriptor} is not an ideal")
     return Ideal(ring, frozenset(members), tuple(sorted(members)))
 
 

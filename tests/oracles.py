@@ -7,7 +7,7 @@ library under test.  Feasible only at toy sizes, which is the point.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def all_ideal_sets(ring) -> list[frozenset[int]]:
@@ -214,3 +214,40 @@ def semiprime_sets_by_definition(module) -> list[frozenset[int]]:
         if ok:
             out.append(ms)
     return out
+
+
+class CosetArithmetic:
+    """R^rank modulo the span of ``relations``, on tuples only.
+
+    The relation subgroup is the pairwise span of every scalar multiple of
+    every relation; the representative of a vector is the least member of
+    its coset, found by adding every relation vector and taking the minimum;
+    an element's index is its representative's position in the sorted list
+    of representatives.  Sums and products are tuple arithmetic followed by
+    that search.
+    """
+
+    def __init__(self, ring, rank, relations=()):
+        self.ring = ring
+        zero = (ring.zero,) * rank
+        multiples = {tuple(ring.mul(r, c) for c in rel)
+                     for rel in relations for r in range(ring.size)}
+        self.relation_members = pairwise_span(multiples | {zero}, self._vadd)
+        self.vectors = list(product(range(ring.size), repeat=rank))
+        self.elements = sorted({self.reduce(v) for v in self.vectors})
+        self._position = {rep: i for i, rep in enumerate(self.elements)}
+
+    def _vadd(self, v, w):
+        return tuple(self.ring.add(a, b) for a, b in zip(v, w))
+
+    def reduce(self, vec) -> tuple:
+        return min(self._vadd(vec, k) for k in self.relation_members)
+
+    def index_of(self, vec) -> int:
+        return self._position[self.reduce(vec)]
+
+    def add(self, i: int, j: int) -> int:
+        return self.index_of(self._vadd(self.elements[i], self.elements[j]))
+
+    def scale(self, r: int, i: int) -> int:
+        return self.index_of(tuple(self.ring.mul(r, c) for c in self.elements[i]))

@@ -3,8 +3,10 @@ from __future__ import annotations
 import pytest
 
 from modradical import rings
+from modradical.instance import parse_instance
 from modradical.modules import (
     BoundExceededError,
+    ModuleElement,
     ModulePresentation,
     colon_ideal,
     colon_module,
@@ -23,6 +25,7 @@ from modradical.modules import (
 from modradical.rings import (
     ideal_generate,
     is_ideal_members,
+    make_gf,
     make_product,
     make_zn,
     unit_ideal,
@@ -105,6 +108,56 @@ def test_rep_of_rep_is_itself():
 def test_coset_count_times_relation_size_is_ambient():
     M = presented_module(make_zn(6), 2, [(2, 0), (0, 3)])
     assert M.element_count * len(M.relation_members) == 36
+
+
+_Z2Z4 = [make_zn(2), make_zn(4)]
+
+
+@pytest.mark.parametrize("ring, rank, relations", [
+    pytest.param(make_zn(12), 1, [], id="z12-rank1"),
+    pytest.param(make_zn(12), 2, [], id="z12-rank2"),
+    pytest.param(make_zn(12), 3, [], id="z12-rank3"),
+    pytest.param(make_gf(2, 2, [1, 1, 1]), 2, [], id="gf4-rank2"),
+    pytest.param(make_product(_Z2Z4), 2, [], id="z2z4-rank2"),
+    pytest.param(make_zn(4), 0, [], id="z4-rank0"),
+    pytest.param(make_zn(4), 2, [(2, 0)], id="z4-rank2-mod-20"),
+    pytest.param(make_zn(4), 3, [(1, 2, 3), (0, 2, 2)], id="z4-rank3-mod-123-022"),
+    pytest.param(make_product(_Z2Z4), 2, [(3, 2)], id="z2z4-rank2-mod-32"),
+])
+def test_coded_arithmetic_matches_tuple_oracle(ring, rank, relations):
+    # built directly, so not interned: no row exists before the lone products
+    M = ModulePresentation(ring, rank, relations)
+    oracle = oracles.CosetArithmetic(ring, rank, relations)
+    assert list(M.elements) == oracle.elements
+    n, scalars = M.element_count, range(ring.size)
+    scaled = [[oracle.scale(r, i) for i in range(n)] for r in scalars]
+    js = range(0, n, max(1, n // 100))   # every summand i, a spread of j
+    sums = [[oracle.add(i, j) for j in js] for i in range(n)]
+    assert [[M.scale_i(r, i) for i in range(n)] for r in scalars] == scaled
+    assert [[M.add_i(i, j) for j in js] for i in range(n)] == sums
+    assert not M._scale_rows and not M._add_rows
+    assert [M.scaled_row(r) for r in scalars] == scaled
+    assert [[M.add_row(i)[j] for j in js] for i in range(n)] == sums
+    for vec in oracle.vectors:
+        assert M.reduce(vec) == oracle.reduce(vec)
+        assert M.index_of(vec) == oracle.index_of(vec)
+    assert M.zero_index == oracle.index_of((ring.zero,) * rank)
+
+
+def test_module_element_rejects_non_canonical_reps():
+    M = presented_module(make_zn(4), 2, [(2, 0)])
+    assert M.element((2, 1)).rep == (0, 1)
+    for rep in [(2, 1), (0, 4), (0,), (0, 1, 0), [0, 1], ("0", 1)]:
+        with pytest.raises(ValueError):
+            ModuleElement(M, rep)
+    assert ModuleElement(M, (1, 3)).rep == (1, 3)
+
+
+def test_parsing_one_generator_instance_builds_no_scaled_row():
+    inst = parse_instance("ring Z/16\nmodule rank=4 relations=[]\n"
+                          "submodule N gens=[(4,0,0,0)]\n")
+    assert inst.submodules["N"].size == 4
+    assert not inst.module._scale_rows
 
 
 # -- quotients -----------------------------------------------------------------

@@ -232,8 +232,9 @@ def test_whole_module_radical_is_whole_module():
 
 
 def test_radical_invariants_are_checked_under_optimize():
-    # a predicate that rejects everything breaks both semiprime checks, and a
-    # step that drops to zero breaks the growing chain
+    # a predicate that rejects everything breaks both semiprime checks, a
+    # step that drops to zero breaks the growing chain, and an ideal test that
+    # rejects everything breaks the colon-ideal check
     code = ("from modradical import radical\n"
             "from modradical.modules import free_module, full_submodule, zero_submodule\n"
             "from modradical.predicates import Verdict\n"
@@ -248,7 +249,10 @@ def test_radical_invariants_are_checked_under_optimize():
             "rejected(radical.radical_by_iteration, zero_submodule(M))\n"
             "rejected(radical.smallest_semiprime_over, zero_submodule(M))\n"
             "radical.first_radical_step = lambda N: (zero_submodule(M), ())\n"
-            "rejected(radical.radical_by_iteration, full_submodule(M))\n")
+            "rejected(radical.radical_by_iteration, full_submodule(M))\n"
+            "from modradical import modules\n"
+            "modules.is_ideal_members = lambda ring, members: False\n"
+            "rejected(lambda N: modules.colon_ideal(N, 0), zero_submodule(M))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -259,4 +263,5 @@ def test_radical_invariants_are_checked_under_optimize():
         "rejected: iteration fixpoint [0, 2] is not semiprime",
         "rejected: intersection [0, 1, 2, 3] of semiprimes is not semiprime",
         "rejected: radical chain shrank at step 1",
+        "rejected: colon set [0, 1, 2, 3] is not an ideal in Z/4",
     ]
