@@ -69,6 +69,9 @@ class CorpusSpec:
     of {"free", "cyclic", "random"}; ``element_bound`` caps the size of
     modules admitted to the corpus; modules at most ``lattice_bound`` large
     get their full submodule lattice, larger ones a seeded random sample.
+
+    A second bound is fixed: ranks with ``|R|^rank > DEFAULT_ELEMENT_BOUND``
+    are skipped before any module is built, whatever ``element_bound`` says.
     """
 
     rings: tuple[str, ...]
@@ -113,10 +116,9 @@ def expand_corpus(spec: CorpusSpec) -> list[Instance]:
                     module = presented_module(ring, rank, rels)
                     if module.element_count > spec.element_bound:
                         continue
-                    key = (ring.descriptor, rank, module.relation_members)
-                    if key in seen:
+                    if module in seen:
                         continue
-                    seen.add(key)
+                    seen.add(module)
                     instance_id = (f"{ring.descriptor} rank={rank} "
                                    f"relations={format_vec_list(module.relations)}")
                     subs, complete = _select_submodules(spec, module, instance_id)

@@ -1,23 +1,22 @@
 """Finitely presented modules over finite rings.
 
-A module is presented as R^rank modulo the relation submodule generated by a
-list of relation vectors.  Ambient vectors are coded as mixed-radix integers
-(the first coordinate most significant), so code order is lexicographic
-order.  Construction enumerates the ambient space once, picks the
-lexicographically least vector of each coset as its canonical
-representative, and from then on works with dense element indices: in a free
-module an element's index is its code, and a presented module maps ambient
-codes to indices with one list.  Scalar and add rows are built coordinate by
-coordinate from the ring's table rows; a lone product or sum is computed from
-the coordinates without a row.  The tuple representatives only appear at the
-API surface.  Everything is immutable after construction and all operations
-are pure.
+A module is presented as R^rank modulo the relation submodule K generated by
+a list of relation vectors.  Ambient vectors are coded as mixed-radix
+integers (the first coordinate most significant), so code order is
+lexicographic order.  Every module is the coset quotient of the free module
+R^rank, where an element's index is its code, by K: K is found first (for a
+quotient M/M', as the preimage of M'), presentations are interned on it, and
+the cosets are built on a cache miss, each indexed by its least code.  Rows
+are built coordinate by coordinate from the ring's table rows; a lone product
+or sum is computed from the coordinates without a row.  The tuple
+representatives only appear at the API surface.  Everything is immutable
+after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _cartesian
+from itertools import compress, product as _cartesian
 from typing import Sequence
 
 from .rings import (
@@ -33,6 +32,8 @@ DEFAULT_ELEMENT_BOUND = 65536
 DEFAULT_LATTICE_BOUND = 256
 
 _PRESENTATION_CACHE: dict[tuple, "ModulePresentation"] = {}
+# relation submodule of a free module: every ring codes its zero as 0
+_ZERO_CODES = frozenset({0})
 _CODES: list[int] = []
 
 
@@ -68,7 +69,8 @@ class ModulePresentation:
 
     An ambient vector v is coded as the integer sum of v[j] * |R|^(rank-1-j);
     code order is lexicographic order, so in a free module an element's index
-    is its code.  A presented module keeps ``_class_of``, the index of the
+    is its code.  Any other module is the coset quotient of that free module
+    by K, generated there.  It keeps ``_class_of``, the index of the
     coset of every ambient code, and ``_rep_codes``, the code of every
     representative.  Addition and scalar action are exposed on indices
     (``add_i``, ``scale_i``) through index rows built on first use: one
@@ -79,55 +81,36 @@ class ModulePresentation:
     row costs n pointers.  A lone product or sum, with no row built yet, is
     computed from the coordinates instead, so huge free modules stay cheap
     to construct and to generate in while the scans read whole rows.
+    Direct construction checks no bound and does not intern.
     """
 
-    def __init__(self, ring: FiniteRing, rank: int, relations=(),
-                 element_bound: int = DEFAULT_ELEMENT_BOUND):
-        if rank < 0:
-            raise ValueError(f"rank must be non-negative, got {rank}")
-        relations = tuple(tuple(_as_code(ring, c) for c in rel) for rel in relations)
-        for rel in relations:
-            if len(rel) != rank:
-                raise ValueError(
-                    f"relation {rel} has length {len(rel)}, expected rank {rank}")
-        ambient = ring.size ** rank
-        if ambient > element_bound:
-            raise BoundExceededError(
-                f"enumerating {ring.descriptor}^{rank}", ambient, element_bound,
-                "--element-bound")
+    def __init__(self, ring: FiniteRing, rank: int, relations=()):
+        relations, free, kernel = _relation_span(ring, rank, relations)
         self.ring = ring
         self.rank = rank
         self.relations = relations
 
         zero_vec = (ring.zero,) * rank
-        add = ring.add
-        multiples = {tuple(ring.mul(r, c) for c in rel)
-                     for rel in relations for r in range(ring.size)}
-        self.relation_members = frozenset(additive_closure(
-            {zero_vec}, multiples, lambda g: _VectorShift(g, add)))
-
-        vectors = _cartesian(range(ring.size), repeat=rank)
-        if len(self.relation_members) == 1:
-            self.elements: tuple[tuple, ...] = tuple(vectors)
+        ambient = ring.size ** rank
+        if free is None:
+            self.elements: tuple[tuple, ...] = tuple(_cartesian(range(ring.size), repeat=rank))
             self._class_of = self._rep_codes = range(ambient)
+            self.relation_members = frozenset({zero_vec})
         else:
-            # Lexicographic sweep: the first unseen vector of a coset is its
-            # lexicographically least member, hence the canonical representative.
+            # Sweep in code order: the first code not yet in a coset is its
+            # least member, hence the canonical representative.
             codes = _shared_codes(ambient)
             class_of: list = [None] * ambient
-            reps: list[tuple] = []
             rep_codes: list[int] = []
-            k_list = sorted(self.relation_members)
-            for code, vec in zip(codes, vectors):
-                if class_of[code] is not None:
-                    continue
-                index = codes[len(reps)]
-                reps.append(vec)
-                rep_codes.append(code)
-                for kv in k_list:
-                    class_of[self._code(map(add, vec, kv))] = index
-            self.elements = tuple(reps)
+            for code in range(ambient):
+                if class_of[code] is None:
+                    index = codes[len(rep_codes)]
+                    rep_codes.append(code)
+                    for k in kernel:
+                        class_of[free.add_i(code, k)] = index
             self._class_of, self._rep_codes = class_of, rep_codes
+            self.elements = tuple(map(free.elements.__getitem__, rep_codes))
+            self.relation_members = frozenset(map(free.elements.__getitem__, kernel))
         self.element_count = len(self.elements)
         if self.element_count * len(self.relation_members) != ambient:
             raise AssertionError(
@@ -145,7 +128,6 @@ class ModulePresentation:
         self._action_cache: dict[frozenset[int], frozenset[int]] = {}
         self._cyclic_cache: dict[int, frozenset[int]] = {}
         self._lattice: list[Submodule] | None = None
-        self._quotients: dict[frozenset[int], "Quotient"] = {}
         self._semiprime_cache: dict = {}
         self._prime_cache: dict = {}
         self._radical_cache: dict = {}
@@ -157,16 +139,8 @@ class ModulePresentation:
     def is_free(self) -> bool:
         return len(self.relation_members) == 1
 
-    def _code(self, vec) -> int:
-        """Ambient code of a vector of ring codes."""
-        size = self.ring.size
-        code = 0
-        for c in vec:
-            code = code * size + c
-        return code
-
     def _index_of_vec(self, vec) -> int:
-        return self._class_of[self._code(vec)]
+        return self._class_of[_code(self.ring.size, vec)]
 
     def _checked(self, vec: Sequence[int]) -> tuple:
         vec = tuple(_as_code(self.ring, c) for c in vec)
@@ -396,16 +370,27 @@ def presented_module(ring: FiniteRing, rank: int, relations=(),
                      element_bound: int = DEFAULT_ELEMENT_BOUND) -> ModulePresentation:
     """Build (or reuse) the presentation R^rank / <relations>.
 
-    Presentations are interned on (ring, rank, relation submodule), so equal
-    presentations share element tables and caches.
+    The element bound is checked first.  Presentations are interned on
+    (ring, rank, relation submodule), which is found before any coset is
+    built, so equal presentations share element tables and caches.
     """
-    mod = ModulePresentation(ring, rank, relations, element_bound)
-    key = (ring.descriptor, rank, mod.relation_members)
-    cached = _PRESENTATION_CACHE.get(key)
-    if cached is not None:
-        return cached
-    _PRESENTATION_CACHE[key] = mod
-    return mod
+    ambient = ring.size ** rank
+    if ambient > element_bound:
+        raise BoundExceededError(
+            f"enumerating {ring.descriptor}^{rank}", ambient, element_bound,
+            "--element-bound")
+    relations, _, kernel = _relation_span(ring, rank, relations)
+    return _interned(ring, rank, relations, kernel)
+
+
+def _interned(ring: FiniteRing, rank: int, relations: tuple,
+              kernel: frozenset[int]) -> ModulePresentation:
+    """The presentation with relation submodule ``kernel`` (ambient codes),
+    built from ``relations`` on a cache miss."""
+    key = (ring.descriptor, rank, kernel)
+    if key not in _PRESENTATION_CACHE:
+        _PRESENTATION_CACHE[key] = ModulePresentation(ring, rank, relations)
+    return _PRESENTATION_CACHE[key]
 
 
 def free_module(ring: FiniteRing, rank: int,
@@ -545,18 +530,21 @@ def enumerate_submodules(M: ModulePresentation,
 
 
 class Quotient:
-    """The quotient M/M' together with its forward and backward coset maps."""
+    """The quotient M/M' together with its forward and backward coset maps.
+
+    Its relations are those of M plus the generators of M', and its relation
+    submodule, the preimage of M' under M's coset map, is found first."""
 
     def __init__(self, source: ModulePresentation, sub: Submodule):
         if sub.module != source:
             raise ValueError("submodule does not live in the given module")
         self.source = source
         self.submodule = sub
-        relations = source.relations + sub.generators
-        # the ambient space was already enumerated for the source module
-        ambient = source.ring.size ** source.rank
-        self.module = presented_module(source.ring, source.rank, relations,
-                                       element_bound=max(ambient, DEFAULT_ELEMENT_BOUND))
+        class_of = source._class_of
+        kernel = frozenset(compress(
+            range(len(class_of)), map(sub.member_indices.__contains__, class_of)))
+        self.module = _interned(source.ring, source.rank,
+                                source.relations + sub.generators, kernel)
         # same ring and rank, so ambient codes agree
         self.forward_row = list(map(self.module._class_of.__getitem__, source._rep_codes))
 
@@ -574,38 +562,48 @@ class Quotient:
         return Submodule(self.module, members, gens)
 
     def backward_submodule(self, Nq: Submodule) -> Submodule:
-        """Full preimage in M of a submodule of M/M'."""
+        """Full preimage in M of a submodule of M/M', the elements whose coset
+        lies in it; generated by the lifted generators of ``Nq`` and those of M'."""
         if Nq.module != self.module:
             raise ValueError("submodule of a different quotient")
         src = self.source
-        lifted = tuple(src.index_of(self.module.elements[i])
-                       for i in Nq.generator_indices)
-        out = _generate_from_indices(
-            src, lifted + self.submodule.generator_indices)
-        preimage = frozenset(i for i in range(src.element_count)
-                             if self.forward_row[i] in Nq.member_indices)
-        if out.member_indices != preimage:
-            raise AssertionError("generated preimage differs from the coset preimage")
-        return out
+        members = frozenset(compress(
+            range(src.element_count), map(Nq.member_indices.__contains__, self.forward_row)))
+        rep_codes = self.module._rep_codes
+        lifted = tuple(src._class_of[rep_codes[i]] for i in Nq.generator_indices)
+        return Submodule(src, members, lifted + self.submodule.generator_indices)
 
 
 def quotient_module(M: ModulePresentation, sub: Submodule) -> Quotient:
-    """Quotient presentation M/M' plus coset maps, cached per submodule."""
-    cached = M._quotients.get(sub.member_indices)
-    if cached is None:
-        cached = Quotient(M, sub)
-        M._quotients[sub.member_indices] = cached
-    return cached
+    """Quotient presentation M/M' plus coset maps; the presentation is interned."""
+    return Quotient(M, sub)
 
 
-class _VectorShift:
-    """Translation by the vector ``g``, read like an add row: ``self[v] == v + g``."""
+def _code(size: int, vec) -> int:
+    """Ambient code of a vector of ring codes."""
+    code = 0
+    for c in vec:
+        code = code * size + c
+    return code
 
-    def __init__(self, g: tuple, add):
-        self.g, self.add = g, add
 
-    def __getitem__(self, v: tuple) -> tuple:
-        return tuple(map(self.add, v, self.g))
+def _relation_span(ring: FiniteRing, rank: int, relations):
+    """The relations as code tuples, the interned free module R^rank and the
+    relation submodule as ambient codes.  With no nonzero relation the free
+    module is not touched, so a fresh ``relations=[(0,0)]`` keeps its own
+    relations rather than being found as the free module."""
+    if rank < 0:
+        raise ValueError(f"rank must be non-negative, got {rank}")
+    relations = tuple(tuple(_as_code(ring, c) for c in rel) for rel in relations)
+    for rel in relations:
+        if len(rel) != rank:
+            raise ValueError(
+                f"relation {rel} has length {len(rel)}, expected rank {rank}")
+    nonzero = [_code(ring.size, rel) for rel in relations if any(rel)]
+    if not nonzero:
+        return relations, None, _ZERO_CODES
+    free = _interned(ring, rank, (), _ZERO_CODES)
+    return relations, free, _generate_from_indices(free, nonzero).member_indices
 
 
 def _as_code(ring: FiniteRing, c) -> int:

@@ -462,18 +462,15 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
 
 
 def is_ideal_members(ring: FiniteRing, members) -> bool:
-    """Literal check: contains zero, closed under + and under every r*."""
-    ms = set(members)
-    if ring.zero not in ms:
-        return False
-    for a in ms:
-        for b in ms:
-            if ring.add(a, b) not in ms:
-                return False
-        for r in range(ring.size):
-            if ring.mul(r, a) not in ms:
-                return False
-    return True
+    """Literal check: contains zero, closed under + and under every r*.
+
+    For each member a, every a + b with b a member and every r * a is read
+    from a's rows of the addition and (commutative) multiplication tables.
+    """
+    ms = frozenset(members)
+    return ring.zero in ms and all(
+        ms.issuperset(map(ring._add[a].__getitem__, ms)) and ms.issuperset(ring._mul[a])
+        for a in ms)
 
 
 def _coerce_codes(ring: FiniteRing, gens) -> list[int]:

@@ -54,6 +54,14 @@ def pairwise_span(elements, add) -> frozenset[int]:
         out |= new
 
 
+def preimage_span(module, lifted, sub_members) -> frozenset[int]:
+    """The submodule of ``module`` generated by the element indices ``lifted``
+    and the submodule with member set ``sub_members``: the pairwise span of
+    those members and every scalar multiple of ``lifted``."""
+    multiples = {module.scale_i(r, i) for i in lifted for r in range(module.ring.size)}
+    return pairwise_span(set(sub_members) | multiples, module.add_i)
+
+
 def breadth_first_joins(size, zero, add, scale, scalars):
     """Reference for the lattice sweep, generators and order included.
 

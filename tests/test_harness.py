@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from modradical import modules
 from modradical.cli import verify_report_data
 from modradical.harness import (
     CLAIM_IDS,
@@ -70,6 +71,31 @@ def test_expand_dedupes_equal_presentations():
     assert len(keys) == len(set(keys))
     # free Z/4, Z/4 / <1> (zero module), Z/4 / <2>
     assert sorted(inst.module.element_count for inst in corpus) == [1, 2, 4]
+
+
+def test_expand_skips_ranks_past_the_default_element_bound():
+    # |R|^rank above DEFAULT_ELEMENT_BOUND is skipped whatever element_bound says:
+    # Z/300 has 300 elements, (Z/300)^2 has 90000 ambient vectors
+    assert 300 < modules.DEFAULT_ELEMENT_BOUND < 300 ** 2
+    corpus = expand_corpus(spec_of(rings=("Z/300",), max_rank=2,
+                                   relation_strategies=("free",),
+                                   element_bound=10 ** 6, submodule_samples=1))
+    assert [inst.module.rank for inst in corpus] == [1]
+
+
+def test_each_distinct_presentation_is_constructed_once(monkeypatch):
+    # quotients are looked up by their relation submodule before any coset is built
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    built = []
+    init = modules.ModulePresentation.__init__
+    monkeypatch.setattr(modules.ModulePresentation, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"),
+                                relation_strategies=("free", "cyclic", "random")))
+    assert report.ok and report.instances > 0
+    interned = modules._PRESENTATION_CACHE.values()
+    assert len(built) == len(interned)
+    assert {id(M) for M in built} == {id(M) for M in interned}
 
 
 def test_expand_respects_element_bound():

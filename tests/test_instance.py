@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from modradical import modules
 from modradical.instance import (
     ParseError,
     format_vec,
@@ -124,6 +125,14 @@ def test_round_trip_is_identity_on_declarations():
         assert {n: e.rep for n, e in second.elements.items()} == \
             {n: e.rep for n, e in first.elements.items()}
         assert render_instance(second) == rendered
+
+
+def test_fresh_parse_of_zero_relations_keeps_its_module_line(monkeypatch):
+    # with nothing interned, building the free module first would let it
+    # stand in for this presentation and print relations=[]
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    text = "ring Z/4\nmodule rank=2 relations=[(0,0)]\n"
+    assert render_instance(parse_instance(text)) == text
 
 
 def test_parse_rank_zero_module():

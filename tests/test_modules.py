@@ -197,6 +197,22 @@ def test_quotient_correspondence_round_trip(z4_plane):
         assert fwd.member_indices == Nq.member_indices
 
 
+@pytest.mark.parametrize("ring, rank, relations", [
+    pytest.param(make_zn(4), 2, [], id="z4-rank2"),
+    pytest.param(make_zn(4), 2, [(2, 0)], id="z4-rank2-mod-20"),
+    pytest.param(make_product(_Z2Z4), 1, [], id="z2z4-rank1"),
+])
+def test_backward_submodule_is_span_of_lifts_and_kernel(ring, rank, relations):
+    M = presented_module(ring, rank, relations)
+    for Mp in enumerate_submodules(M):
+        q = quotient_module(M, Mp)
+        for Nq in enumerate_submodules(q.module):
+            back = q.backward_submodule(Nq)
+            lifted = tuple(M.index_of(q.module.elements[i]) for i in Nq.generator_indices)
+            assert back.generator_indices == lifted + Mp.generator_indices
+            assert back.member_indices == oracles.preimage_span(M, lifted, Mp.member_indices)
+
+
 # -- submodule generation and membership ----------------------------------------
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -265,3 +266,13 @@ def test_radical_invariants_are_checked_under_optimize():
         "rejected: radical chain shrank at step 1",
         "rejected: colon set [0, 1, 2, 3] is not an ideal in Z/4",
     ]
+
+
+def test_package_has_no_assert_statements():
+    # an assert vanishes under python -O; every invariant check must raise instead
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "modradical").glob("*.py"))
+    assert "modules.py" in [path.name for path in paths]
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,19 @@ def test_enumerate_ideals_counts_match_subset_oracle():
         assert [set(I.members) for I in got] == [set(s) for s in expected]
         for I in got:
             assert is_ideal_members(ring, I.members)
+
+
+@pytest.mark.parametrize("descriptor", ["Z/6", "product(Z/2, Z/4)"])
+def test_is_ideal_members_matches_oracle_on_every_subset(descriptor):
+    # every subset, with and without zero, so the False side is covered too
+    ring = parse_ring_descriptor(descriptor)
+    verdicts = []
+    for k in range(ring.size + 1):
+        for subset in combinations(range(ring.size), k):
+            expected = ring.zero in subset and oracles._closed_ideal(ring, set(subset))
+            assert is_ideal_members(ring, subset) == expected, subset
+            verdicts.append(expected)
+    assert verdicts.count(True) == len(oracles.all_ideal_sets(ring))
 
 
 @pytest.mark.parametrize("descriptor", ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)"])
