@@ -92,12 +92,14 @@ DEFAULT_CORPUS_SPEC = CorpusSpec(
 
 @dataclass(frozen=True)
 class Instance:
-    """One corpus entry: a module plus the submodules selected for it."""
+    """One corpus entry: a module, the submodules selected for it and the
+    relations the spec requested, which its id and findings print."""
 
     instance_id: str
     module: ModulePresentation
     submodules: tuple[Submodule, ...]
     lattice_complete: bool
+    relations: tuple[tuple[int, ...], ...]
 
 
 def expand_corpus(spec: CorpusSpec) -> list[Instance]:
@@ -120,9 +122,9 @@ def expand_corpus(spec: CorpusSpec) -> list[Instance]:
                         continue
                     seen.add(module)
                     instance_id = (f"{ring.descriptor} rank={rank} "
-                                   f"relations={format_vec_list(module.relations)}")
+                                   f"relations={format_vec_list(rels)}")
                     subs, complete = _select_submodules(spec, module, instance_id)
-                    instances.append(Instance(instance_id, module, subs, complete))
+                    instances.append(Instance(instance_id, module, subs, complete, rels))
     return instances
 
 
@@ -176,9 +178,9 @@ class Finding:
         return _replay_check(self.claim_id, inst.module, inst.submodules) is not None
 
 
-def _serialize(module: ModulePresentation, subs: dict[str, Submodule]) -> str:
-    lines = [f"ring {module.ring.descriptor}",
-             f"module rank={module.rank} relations={format_vec_list(module.relations)}"]
+def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
+    lines = [f"ring {inst.module.ring.descriptor}",
+             f"module rank={inst.module.rank} relations={format_vec_list(inst.relations)}"]
     for name, sub in subs.items():
         lines.append(f"submodule {name} gens={format_vec_list(sub.generators)}")
     return "\n".join(lines) + "\n"
@@ -404,14 +406,14 @@ class _Tally:
         self.skipped = 0
         self.findings: list[Finding] = []
 
-    def unit(self, module, subs, detail):
+    def unit(self, inst, subs, detail):
         self.checked += 1
         if detail is None:
             self.passed += 1
         else:
             self.failed += 1
             self.findings.append(
-                Finding(self.claim_id, _serialize(module, subs), detail))
+                Finding(self.claim_id, _serialize(inst, subs), detail))
 
     def skip(self, count):
         self.skipped += count
@@ -446,7 +448,7 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
                 tally.skip(len(units))
                 continue
             for named in units:
-                tally.unit(module, named, check(module, named, bound, subs))
+                tally.unit(inst, named, check(module, named, bound, subs))
     claims = tuple(tallies[cid].result() for cid in CLAIM_IDS)
     return VerificationReport(spec, len(corpus), total_submodules, claims,
                               time.perf_counter() - t0)
@@ -528,5 +530,5 @@ def find_separation(spec: CorpusSpec, pair: str) -> list[Finding]:
             named = {"N": N}
             detail = _replay_check(claim_id, inst.module, named)
             if detail is not None:
-                out.append(Finding(claim_id, _serialize(inst.module, named), detail))
+                out.append(Finding(claim_id, _serialize(inst, named), detail))
     return out

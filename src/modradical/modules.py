@@ -1,16 +1,15 @@
 """Finitely presented modules over finite rings.
 
-A module is presented as R^rank modulo the relation submodule K generated by
-a list of relation vectors.  Ambient vectors are coded as mixed-radix
-integers (the first coordinate most significant), so code order is
-lexicographic order.  Every module is the coset quotient of the free module
-R^rank, where an element's index is its code, by K: K is found first (for a
-quotient M/M', as the preimage of M'), presentations are interned on it, and
-the cosets are built on a cache miss, each indexed by its least code.  Rows
-are built coordinate by coordinate from the ring's table rows; a lone product
-or sum is computed from the coordinates without a row.  The tuple
-representatives only appear at the API surface.  Everything is immutable
-after construction and all operations are pure.
+A module is R^rank modulo the relation submodule K generated by a list of
+relation vectors, built as the coset quotient of the free module R^rank by K
+(see :class:`ModulePresentation`).  Presentations are interned in
+``_PRESENTATION_CACHE`` on (ring, rank, K), found before any coset is built,
+as rings are in ``rings._RING_CACHE`` on their descriptor.  Each module's
+``derived`` table keeps what is computed from it: index rows, r*M, I*M,
+semiprime verdicts per member set, the lattice and the prime list, keyed by
+(builder, an int, a frozenset or None).  Nothing is evicted from either.
+Tuple representatives only appear at the API surface; everything else is
+immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -60,6 +59,20 @@ class BoundExceededError(RuntimeError):
         self.flag = flag
 
 
+class _Derived(dict):
+    """``derived[build, key]`` is ``build(module, key)``, built on the first
+    request; ``derived.get((build, key))`` peeks without building."""
+
+    __slots__ = ("module",)
+
+    def __init__(self, module: ModulePresentation):
+        self.module = module
+
+    def __missing__(self, build_key):
+        self[build_key] = value = build_key[0](self.module, build_key[1])
+        return value
+
+
 class ModulePresentation:
     """M = R^rank / K with explicit canonical coset representatives.
 
@@ -70,17 +83,17 @@ class ModulePresentation:
     An ambient vector v is coded as the integer sum of v[j] * |R|^(rank-1-j);
     code order is lexicographic order, so in a free module an element's index
     is its code.  Any other module is the coset quotient of that free module
-    by K, generated there.  It keeps ``_class_of``, the index of the
-    coset of every ambient code, and ``_rep_codes``, the code of every
-    representative.  Addition and scalar action are exposed on indices
-    (``add_i``, ``scale_i``) through index rows built on first use: one
-    scalar row per ring code, and one add row per element that something
-    adds, which for subgroup closures means only the generators that enlarge
-    the set.  A row is built from the ring's table rows one coordinate at a
-    time and every entry is drawn from one shared ``list(range(n))``, so a
-    row costs n pointers.  A lone product or sum, with no row built yet, is
-    computed from the coordinates instead, so huge free modules stay cheap
-    to construct and to generate in while the scans read whole rows.
+    by K, generated there.  It keeps ``_class_of``, the index of the coset of
+    every ambient code, and ``_rep_codes``, the code of every representative.
+    Addition and scalar action are exposed on indices (``add_i``,
+    ``scale_i``) through index rows kept in ``derived``: one scalar row per
+    ring code, and one add row per element that something adds, which for
+    subgroup closures means only the generators that enlarge the set.  A row
+    is built from the ring's table rows one coordinate at a time and every
+    entry is drawn from one shared ``list(range(n))``, so a row costs n
+    pointers.  A lone product or sum, with no row built yet, is computed from
+    the coordinates instead, so huge free modules stay cheap to construct and
+    to generate in while the scans read whole rows.
     Direct construction checks no bound and does not intern.
     """
 
@@ -122,15 +135,7 @@ class ModulePresentation:
             self._index_of_vec(ring.one if j == i else ring.zero for j in range(rank))
             for i in range(rank))
 
-        self._add_rows: dict[int, list[int]] = {}
-        self._scale_rows: dict[int, list[int]] = {}
-        self._image_sets: dict[int, frozenset[int]] = {}
-        self._action_cache: dict[frozenset[int], frozenset[int]] = {}
-        self._cyclic_cache: dict[int, frozenset[int]] = {}
-        self._lattice: list[Submodule] | None = None
-        self._semiprime_cache: dict = {}
-        self._prime_cache: dict = {}
-        self._radical_cache: dict = {}
+        self.derived = _Derived(self)
         self._hash = hash((ring, rank, self.relation_members))
 
     # -- canonical forms ------------------------------------------------------
@@ -195,64 +200,41 @@ class ModulePresentation:
         return list(map(self._class_of.__getitem__, map(row.__getitem__, self._rep_codes)))
 
     def add_i(self, i: int, j: int) -> int:
-        row = self._add_rows.get(i)
+        row = self.derived.get((_add_row, i))
         if row is not None:
             return row[j]
         return self._index_of_vec(map(self.ring.add, self.elements[i], self.elements[j]))
 
     def add_row(self, i: int) -> list[int]:
         """Index row of adding the element at index ``i``."""
-        row = self._add_rows.get(i)
-        if row is None:
-            add = self.ring._add
-            row = self._row([add[c] for c in self.elements[i]])
-            self._add_rows[i] = row
-        return row
+        return self.derived[_add_row, i]
 
     def scale_i(self, r: int, i: int) -> int:
-        row = self._scale_rows.get(r)
+        row = self.derived.get((_scaled_row, r))
         if row is not None:
             return row[i]
         return self._index_of_vec(map(self.ring._mul[r].__getitem__, self.elements[i]))
 
     def scaled_row(self, r: int) -> list[int]:
         """Index row of the scalar action of ring code ``r``."""
-        row = self._scale_rows.get(r)
-        if row is None:
-            row = self._row([self.ring._mul[r]] * self.rank)
-            self._scale_rows[r] = row
-        return row
+        return self.derived[_scaled_row, r]
 
     def image_set(self, r: int) -> frozenset[int]:
         """Member indices of r*M."""
-        out = self._image_sets.get(r)
-        if out is None:
-            out = frozenset(self.scaled_row(r))
-            self._image_sets[r] = out
-        return out
+        return self.derived[_image_set, r]
 
     def ideal_action(self, codes: frozenset[int]) -> frozenset[int]:
         """Member indices of I*M for the ideal with member codes ``codes``.
 
         I*M is generated additively by {r * e_j : r in I, e_j a basis image},
         because every product r*x with x = sum r_j e_j expands into such
-        terms.  Cached per member set; colon ideals repeat heavily.
+        terms.  Kept per member set; colon ideals repeat heavily.
         """
-        cached = self._action_cache.get(codes)
-        if cached is not None:
-            return cached
-        gens = {self.scale_i(r, u) for r in codes for u in self.unit_indices}
-        members = frozenset(additive_closure({self.zero_index}, gens, self.add_row))
-        self._action_cache[codes] = members
-        return members
+        return self.derived[_ideal_action, codes]
 
     def cyclic_members(self, i: int) -> frozenset[int]:
         """Member indices of R*m for the element at index ``i``."""
-        out = self._cyclic_cache.get(i)
-        if out is None:
-            out = frozenset(self.scaled_row(r)[i] for r in range(self.ring.size))
-            self._cyclic_cache[i] = out
-        return out
+        return frozenset(row[i] for row in scaled_rows(self))
 
     # -- value semantics --------------------------------------------------------
 
@@ -268,6 +250,36 @@ class ModulePresentation:
     def __repr__(self) -> str:
         rel = "" if not self.relations else f" mod <{len(self.relations)} relations>"
         return f"Module({self.ring.descriptor}^{self.rank}{rel}, {self.element_count} elements)"
+
+
+# -- derived values: the builders of ``ModulePresentation.derived`` --------------
+
+
+def _add_row(M: ModulePresentation, i: int) -> list[int]:
+    add = M.ring._add
+    return M._row([add[c] for c in M.elements[i]])
+
+
+def _scaled_row(M: ModulePresentation, r: int) -> list[int]:
+    return M._row([M.ring._mul[r]] * M.rank)
+
+
+def _scaled_rows(M: ModulePresentation, _) -> list[list[int]]:
+    return [M.scaled_row(r) for r in range(M.ring.size)]
+
+
+def _image_set(M: ModulePresentation, r: int) -> frozenset[int]:
+    return frozenset(M.scaled_row(r))
+
+
+def _ideal_action(M: ModulePresentation, codes: frozenset[int]) -> frozenset[int]:
+    gens = {M.scale_i(r, u) for r in codes for u in M.unit_indices}
+    return frozenset(additive_closure({M.zero_index}, gens, M.add_row))
+
+
+def _lattice(M: ModulePresentation, _) -> list[Submodule]:
+    joins = lattice_by_joins(M.element_count, M.zero_index, M.cyclic_members, M.add_row)
+    return [Submodule(M, ms, gens) for ms, gens in joins]
 
 
 @dataclass(frozen=True)
@@ -372,7 +384,7 @@ def presented_module(ring: FiniteRing, rank: int, relations=(),
 
     The element bound is checked first.  Presentations are interned on
     (ring, rank, relation submodule), which is found before any coset is
-    built, so equal presentations share element tables and caches.
+    built, so equal presentations share element tables and ``derived`` tables.
     """
     ambient = ring.size ** rank
     if ambient > element_bound:
@@ -432,27 +444,22 @@ def contains(N: Submodule, m) -> bool:
 # -- colon ideals and ideal action ------------------------------------------------
 
 
-def colon_codes(N: Submodule, m_index: int, rows=None) -> frozenset[int]:
-    """Member codes of the colon ideal (N : m) = {r : r*m in N}.
-
-    ``rows`` is the list of every scaled row of the module, for scans that
-    ask for many elements.
-    """
-    if rows is None:
-        rows = scaled_rows(N.module)
+def colon_codes(N: Submodule, m_index: int, rows: list[list[int]]) -> frozenset[int]:
+    """Member codes of the colon ideal (N : m) = {r : r*m in N}; ``rows`` is
+    ``scaled_rows(N.module)``, read once by scans over many elements."""
     ms = N.member_indices
     return frozenset(r for r, row in enumerate(rows) if row[m_index] in ms)
 
 
 def scaled_rows(M: ModulePresentation) -> list[list[int]]:
-    """The scaled row of every ring code, in code order."""
-    return [M.scaled_row(r) for r in range(M.ring.size)]
+    """The scaled row of every ring code, in code order (built once per module)."""
+    return M.derived[_scaled_rows, None]
 
 
 def colon_ideal(N: Submodule, m) -> Ideal:
     """The colon ideal (N : m) as a full :class:`~modradical.rings.Ideal`."""
     M = N.module
-    codes = colon_codes(N, M.index_of(m) if not isinstance(m, int) else m)
+    codes = colon_codes(N, M.index_of(m) if not isinstance(m, int) else m, scaled_rows(M))
     if not is_ideal_members(M.ring, codes):
         raise AssertionError(
             f"colon set {sorted(codes)} is not an ideal in {M.ring.descriptor}")
@@ -513,17 +520,14 @@ def enumerate_submodules(M: ModulePresentation,
     """Every submodule of ``M``, by join-closure over cyclic submodules.
 
     Every submodule is a join of cyclic ones, so the sweep is exhaustive.
-    The result is sorted by (size, member list) and cached on the module.
+    The result is sorted by (size, member list) and kept in ``M.derived``;
+    the bound is checked first, so it holds warm or cold.
     """
     if M.element_count > lattice_bound:
         raise BoundExceededError(
             f"submodule lattice of {M!r}", M.element_count, lattice_bound,
             "--lattice-bound")
-    if M._lattice is None:
-        joins = lattice_by_joins(M.element_count, M.zero_index,
-                                 M.cyclic_members, M.add_row)
-        M._lattice = [Submodule(M, ms, gens) for ms, gens in joins]
-    return list(M._lattice)
+    return list(M.derived[_lattice, None])
 
 
 # -- quotients -----------------------------------------------------------------------

@@ -50,7 +50,7 @@ class PredicateWitness:
         ms = N.member_indices
         if self.kind == "semiprime":
             mi = M.index_of(self.m)
-            colon = colon_codes(N, mi)
+            colon = colon_codes(N, mi, scaled_rows(M))
             product = M.ideal_action(colon)
             return (tuple(sorted(colon)) == self.colon_members
                     and _reps(M, product) == self.product_members
@@ -116,29 +116,27 @@ def is_prime_submodule(P: Submodule) -> Verdict:
 def is_semiprime_submodule(N: Submodule) -> Verdict:
     """m in (N:m)M implies m in N, for every element m.
 
-    Verdicts are cached on the module per member set; the corpus sweeps
-    re-ask constantly.
+    Verdicts are kept in the module's ``derived`` table per member set; the
+    corpus sweeps re-ask constantly.
     """
-    M = N.module
-    cached = M._semiprime_cache.get(N.member_indices)
-    if cached is not None:
-        return cached
-    ms = N.member_indices
+    return N.module.derived[_semiprime_verdict, N.member_indices]
+
+
+def _semiprime_verdict(M: ModulePresentation, ms: frozenset[int]) -> Verdict:
+    # the verdict belongs to the member set, so its witness's submodule is rebuilt
+    N = Submodule(M, ms, tuple(sorted(ms)))
     rows = scaled_rows(M)
-    verdict = Verdict(True)
     for mi in range(M.element_count):
         if mi in ms:
             continue  # m in N never violates
         colon = colon_codes(N, mi, rows)
         product = M.ideal_action(colon)
         if mi in product:
-            verdict = Verdict(False, PredicateWitness(
+            return Verdict(False, PredicateWitness(
                 kind="semiprime", submodule=N, m=M.elements[mi],
                 colon_members=tuple(sorted(colon)),
                 product_members=_reps(M, product)))
-            break
-    M._semiprime_cache[N.member_indices] = verdict
-    return verdict
+    return Verdict(True)
 
 
 def is_dauns_semiprime(N: Submodule) -> Verdict:

@@ -11,6 +11,7 @@ three must agree, which the harness and the acceptance suite certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .modules import (
     DEFAULT_LATTICE_BOUND,
@@ -42,7 +43,7 @@ class RadicalGeneratorWitness:
     def replays_against(self, previous: Submodule) -> bool:
         M = previous.module
         mi = M.index_of(self.m)
-        colon = colon_codes(previous, mi)
+        colon = colon_codes(previous, mi, scaled_rows(M))
         product = M.ideal_action(colon)
         els = M.elements
         return (tuple(sorted(colon)) == self.colon_members
@@ -145,32 +146,21 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
 
 def prime_submodules(M: ModulePresentation,
                      lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
-    """All prime submodules of ``M``, in lattice order (cached)."""
-    lattice = enumerate_submodules(M, lattice_bound)  # checks the bound, warm or cold
-    primes = M._prime_cache.get("primes")
-    if primes is None:
-        primes = [P for P in lattice if is_prime_submodule(P).holds]
-        M._prime_cache["primes"] = primes
-    return list(primes)
+    """All prime submodules of ``M``, in lattice order (kept in ``M.derived``)."""
+    enumerate_submodules(M, lattice_bound)  # checks the bound, warm or cold
+    return list(M.derived[_prime_list, None])
+
+
+def _prime_list(M: ModulePresentation, _) -> list[Submodule]:
+    return [P for P in enumerate_submodules(M, M.element_count)
+            if is_prime_submodule(P).holds]
 
 
 def radical_by_primes(N: Submodule,
                       lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Submodule:
     """Intersection of every prime submodule containing N; M when none does."""
-    M = N.module
-    primes = prime_submodules(M, lattice_bound)  # checks the bound, warm or cold
-    cached = M._radical_cache.get(N.member_indices)
-    if cached is not None:
-        return cached
-    above = [P for P in primes if N.issubset(P)]
-    if not above:
-        out = full_submodule(M)
-    else:
-        out = above[0]
-        for P in above[1:]:
-            out = intersect(out, P)
-    M._radical_cache[N.member_indices] = out
-    return out
+    above = [P for P in prime_submodules(N.module, lattice_bound) if N.issubset(P)]
+    return reduce(intersect, above) if above else full_submodule(N.module)
 
 
 def smallest_semiprime_over(N: Submodule,

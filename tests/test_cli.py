@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import modradical.cli
+from modradical import radical
 from modradical.cli import main
-from modradical.modules import full_submodule
+from modradical.modules import ModulePresentation, full_submodule, zero_submodule
+from modradical.rings import make_zn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -181,3 +184,27 @@ def test_check_cimpric_rejects_non_free_instance(tmp_path, capsys):
     code, _, err = run_cli(capsys, "check-cimpric", str(inst), "N")
     assert code == 2
     assert "free modules" in err
+
+
+# -- benchmark tooling ------------------------------------------------------------------
+
+
+def test_benchmark_tracer_finds_every_target():
+    # perfbench wraps library functions by name; a renamed one would turn its
+    # per-layer metrics into null without failing anything
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer("tier-1 guard")
+    M = ModulePresentation(make_zn(4), 2)   # built directly: a cold table
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        radical.radical_by_primes(zero_submodule(M))
+        assert tracer.summary()["per_name"]["radical.prime_submodules"][0] == 1
+    finally:
+        tracer.uninstall()
+    # derived values are built by private functions that the tracer leaves alone
+    assert M.derived and all(build.__module__.startswith("modradical.")
+                             for build, _ in M.derived)

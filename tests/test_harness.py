@@ -14,6 +14,8 @@ from modradical.harness import (
     parse_corpus_spec,
     verify_all,
 )
+from modradical.modules import submodule_generate
+from modradical.predicates import _semiprime_verdict, is_semiprime_submodule
 from modradical.report import render_structured
 
 
@@ -106,12 +108,20 @@ def test_expand_respects_element_bound():
     assert [inst.module.element_count for inst in corpus] == [12]
 
 
-def test_expand_is_deterministic():
+def test_expand_is_deterministic(monkeypatch):
     spec = spec_of(rings=("Z/6", "Z/4"), max_rank=2)
     a = expand_corpus(spec)
     b = expand_corpus(spec)
     assert [i.instance_id for i in a] == [i.instance_id for i in b]
     assert all(x.module is y.module for x, y in zip(a, b))
+    # cold vs warm: a run at another seed first interns some of these modules
+    # from other relation lists, which the ids must not pick up
+    spec = spec_of(rings=("Z/2", "Z/3"), relation_strategies=("free", "cyclic", "random"))
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    cold = [i.instance_id for i in expand_corpus(spec)]
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    verify_all(spec_of(rings=spec.rings, relation_strategies=spec.relation_strategies, seed=3))
+    assert [i.instance_id for i in expand_corpus(spec)] == cold
 
 
 def test_sampled_submodules_when_lattice_bound_is_zero():
@@ -265,3 +275,29 @@ def test_parse_corpus_spec_defaults_and_errors():
         parse_corpus_spec("rings Z/2\nstrategies diagonal\n")
     with pytest.raises(ValueError):
         parse_corpus_spec("rings Q/2\n")
+
+
+# -- the derived-value table -----------------------------------------------------
+
+
+def test_derived_table_keys_and_shared_semiprime_entries(monkeypatch):
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    spec = spec_of(rings=("Z/4",), relation_strategies=("free", "cyclic"))
+    assert verify_all(spec).ok
+    for M in modules._PRESENTATION_CACHE.values():
+        for build, key in M.derived:
+            assert build.__name__.startswith("_")
+            assert key is None or type(key) in (int, frozenset)
+    # <(2,0)> of (Z/4)^2 is not semiprime; two generator lists, one entry
+    M = next(i.module for i in expand_corpus(spec) if i.module.is_free and i.module.rank == 2)
+    N1 = submodule_generate(M, [(2, 0)])
+    N2 = submodule_generate(M, [(0, 0), (2, 0), (2, 0)])
+    assert N1.member_indices == N2.member_indices
+    assert N1.generator_indices != N2.generator_indices
+    entries = len(M.derived)
+    verdict = is_semiprime_submodule(N1)
+    assert is_semiprime_submodule(N2) is verdict
+    assert len(M.derived) == entries   # the run already asked about this member set
+    assert M.derived[_semiprime_verdict, N1.member_indices] is verdict
+    assert not verdict.holds and verdict.witness.replays()
+    assert verdict.witness.submodule.generator_indices == tuple(sorted(N1.member_indices))

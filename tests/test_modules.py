@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from modradical import rings
+from modradical import modules, rings
 from modradical.instance import parse_instance
 from modradical.modules import (
     BoundExceededError,
@@ -33,6 +33,11 @@ from modradical.rings import (
 )
 
 import oracles
+
+
+def rows_built(M, build):
+    """Keys of the rows of kind ``build`` in the derived table of ``M``."""
+    return [key for b, key in M.derived if b is build]
 
 
 @pytest.fixture
@@ -135,7 +140,7 @@ def test_coded_arithmetic_matches_tuple_oracle(ring, rank, relations):
     sums = [[oracle.add(i, j) for j in js] for i in range(n)]
     assert [[M.scale_i(r, i) for i in range(n)] for r in scalars] == scaled
     assert [[M.add_i(i, j) for j in js] for i in range(n)] == sums
-    assert not M._scale_rows and not M._add_rows
+    assert not rows_built(M, modules._scaled_row) and not rows_built(M, modules._add_row)
     assert [M.scaled_row(r) for r in scalars] == scaled
     assert [[M.add_row(i)[j] for j in js] for i in range(n)] == sums
     for vec in oracle.vectors:
@@ -157,7 +162,7 @@ def test_parsing_one_generator_instance_builds_no_scaled_row():
     inst = parse_instance("ring Z/16\nmodule rank=4 relations=[]\n"
                           "submodule N gens=[(4,0,0,0)]\n")
     assert inst.submodules["N"].size == 4
-    assert not inst.module._scale_rows
+    assert not rows_built(inst.module, modules._scaled_row)
 
 
 # -- quotients -----------------------------------------------------------------
