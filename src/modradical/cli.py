@@ -22,6 +22,7 @@ from .harness import (
 from .instance import (
     InstanceFile,
     ParseError,
+    format_module,
     format_vec,
     format_vec_list,
     parse_instance,
@@ -68,12 +69,9 @@ class Flags:
     name: str | None = None
 
 
-def _module_line(module) -> str:
-    return f"rank={module.rank} relations={format_vec_list(module.relations)}"
-
-
 def _context(inst: InstanceFile) -> dict:
-    return {"ring": inst.ring.descriptor, "module": _module_line(inst.module)}
+    return {"ring": inst.ring.descriptor,
+            "module": format_module(inst.module.rank, inst.relations)}
 
 
 def _named_submodule(inst: InstanceFile, name: str | None):

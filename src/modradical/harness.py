@@ -11,9 +11,17 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .instance import format_vec, format_vec_list, parse_instance, parse_ring_descriptor
+from .instance import (
+    InstanceFile,
+    format_module,
+    format_vec,
+    format_vec_list,
+    parse_instance,
+    parse_ring_descriptor,
+    render_instance,
+)
 from .modules import (
     DEFAULT_ELEMENT_BOUND,
     DEFAULT_LATTICE_BOUND,
@@ -121,8 +129,7 @@ def expand_corpus(spec: CorpusSpec) -> list[Instance]:
                     if module in seen:
                         continue
                     seen.add(module)
-                    instance_id = (f"{ring.descriptor} rank={rank} "
-                                   f"relations={format_vec_list(rels)}")
+                    instance_id = f"{ring.descriptor} {format_module(rank, rels)}"
                     subs, complete = _select_submodules(spec, module, instance_id)
                     instances.append(Instance(instance_id, module, subs, complete, rels))
     return instances
@@ -179,11 +186,7 @@ class Finding:
 
 
 def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
-    lines = [f"ring {inst.module.ring.descriptor}",
-             f"module rank={inst.module.rank} relations={format_vec_list(inst.relations)}"]
-    for name, sub in subs.items():
-        lines.append(f"submodule {name} gens={format_vec_list(sub.generators)}")
-    return "\n".join(lines) + "\n"
+    return render_instance(InstanceFile(inst.module.ring, inst.module, inst.relations, subs))
 
 
 # -- per-claim unit checks -----------------------------------------------------------
@@ -374,7 +377,7 @@ class ClaimResult:
     passed: int = 0
     failed: int = 0
     skipped: int = 0
-    findings: tuple[Finding, ...] = ()
+    findings: list[Finding] = field(default_factory=list)
 
 
 @dataclass
@@ -397,32 +400,6 @@ class VerificationReport:
         return tuple(out)
 
 
-class _Tally:
-    def __init__(self, claim_id: str):
-        self.claim_id = claim_id
-        self.checked = 0
-        self.passed = 0
-        self.failed = 0
-        self.skipped = 0
-        self.findings: list[Finding] = []
-
-    def unit(self, inst, subs, detail):
-        self.checked += 1
-        if detail is None:
-            self.passed += 1
-        else:
-            self.failed += 1
-            self.findings.append(
-                Finding(self.claim_id, _serialize(inst, subs), detail))
-
-    def skip(self, count):
-        self.skipped += count
-
-    def result(self) -> ClaimResult:
-        return ClaimResult(self.claim_id, self.checked, self.passed,
-                           self.failed, self.skipped, tuple(self.findings))
-
-
 def verify_all(spec: CorpusSpec) -> VerificationReport:
     """Check every claim on every applicable corpus instance.
 
@@ -432,7 +409,7 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
     """
     t0 = time.perf_counter()
     corpus = expand_corpus(spec)
-    tallies = {cid: _Tally(cid) for cid in CLAIM_IDS}
+    tallies = {cid: ClaimResult(cid) for cid in CLAIM_IDS}
     total_submodules = 0
     for inst in corpus:
         module = inst.module
@@ -445,11 +422,17 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
                 continue
             units = _units(shape, module, subs)
             if needs_lattice and bound is None:
-                tally.skip(len(units))
+                tally.skipped += len(units)
                 continue
             for named in units:
-                tally.unit(inst, named, check(module, named, bound, subs))
-    claims = tuple(tallies[cid].result() for cid in CLAIM_IDS)
+                detail = check(module, named, bound, subs)
+                tally.checked += 1
+                if detail is None:
+                    tally.passed += 1
+                else:
+                    tally.failed += 1
+                    tally.findings.append(Finding(cid, _serialize(inst, named), detail))
+    claims = tuple(tallies[cid] for cid in CLAIM_IDS)
     return VerificationReport(spec, len(corpus), total_submodules, claims,
                               time.perf_counter() - t0)
 

@@ -41,10 +41,16 @@ class ParseError(ValueError):
 
 @dataclass
 class InstanceFile:
-    """A parsed and constructed instance: ring, module, named declarations."""
+    """A parsed and constructed instance: ring, module, named declarations.
+
+    ``relations`` are the relation vectors the module line gave.  The module
+    is interned on the submodule they generate, and another list may have
+    built it, so they are kept here and :func:`render_instance` prints them.
+    """
 
     ring: FiniteRing
     module: ModulePresentation
+    relations: tuple[tuple[int, ...], ...]
     submodules: dict[str, Submodule] = field(default_factory=dict)
     elements: dict[str, ModuleElement] = field(default_factory=dict)
 
@@ -258,7 +264,7 @@ def parse_instance(text: str,
             rank = cur.integer()
             cur.take("relations")
             cur.take("=")
-            relations = _parse_vector_list(cur, ring, rank)
+            relations = tuple(_parse_vector_list(cur, ring, rank))
             module = presented_module(ring, rank, relations, element_bound)
         elif keyword in ("submodule", "element"):
             if module is None:
@@ -287,7 +293,7 @@ def parse_instance(text: str,
         raise ParseError("missing ring line", 1, 1)
     if module is None:
         raise ParseError("missing module line", 1, 1)
-    return InstanceFile(ring, module, submodules, elements)
+    return InstanceFile(ring, module, relations, submodules, elements)
 
 
 def format_vec(vec) -> str:
@@ -298,11 +304,15 @@ def format_vec_list(vecs) -> str:
     return "[" + ",".join(format_vec(v) for v in vecs) + "]"
 
 
+def format_module(rank: int, relations) -> str:
+    """The ``rank=... relations=[...]`` text of a module line."""
+    return f"rank={rank} relations={format_vec_list(relations)}"
+
+
 def render_instance(inst: InstanceFile) -> str:
     """Canonical text for an instance (inverse of :func:`parse_instance`)."""
-    lines = [f"ring {inst.ring.descriptor}"]
-    lines.append(f"module rank={inst.module.rank} "
-                 f"relations={format_vec_list(inst.module.relations)}")
+    lines = [f"ring {inst.ring.descriptor}",
+             f"module {format_module(inst.module.rank, inst.relations)}"]
     for name, sub in inst.submodules.items():
         lines.append(f"submodule {name} gens={format_vec_list(sub.generators)}")
     for name, el in inst.elements.items():

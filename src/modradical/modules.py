@@ -1,13 +1,15 @@
 """Finitely presented modules over finite rings.
 
-A module is R^rank modulo the relation submodule K generated by a list of
-relation vectors, built as the coset quotient of the free module R^rank by K
-(see :class:`ModulePresentation`).  Presentations are interned in
-``_PRESENTATION_CACHE`` on (ring, rank, K), found before any coset is built,
-as rings are in ``rings._RING_CACHE`` on their descriptor.  Each module's
-``derived`` table keeps what is computed from it: index rows, r*M, I*M,
-semiprime verdicts per member set, the lattice and the prime list, keyed by
-(builder, an int, a frozenset or None).  Nothing is evicted from either.
+A module is R^rank modulo a relation submodule K, built as the coset
+quotient of the free module R^rank by K (see :class:`ModulePresentation`).
+K is the module's only identity: ``presented_module`` generates it once from
+a list of relation vectors, which is input text and is not kept.
+Presentations are interned in ``_PRESENTATION_CACHE`` on (ring, rank, K),
+found before any coset is built, as rings are in ``rings._RING_CACHE`` on
+their descriptor.  Each module's ``derived`` table keeps what is computed
+from it: index rows, r*M, I*M, semiprime verdicts per member set, the
+lattice and the prime list, keyed by (builder, an int, a frozenset or None).
+Nothing is evicted from either.
 Tuple representatives only appear at the API surface; everything else is
 immutable after construction and all operations are pure.
 """
@@ -76,14 +78,17 @@ class _Derived(dict):
 class ModulePresentation:
     """M = R^rank / K with explicit canonical coset representatives.
 
-    ``relations`` generate K inside R^rank.  ``elements[i]`` is the canonical
-    representative (a tuple of ring codes) of the i-th coset, listed in
-    lexicographic order, so index order and representative order agree.
+    The module is built from ``kernel``, the ambient codes (below) of its
+    relation submodule K, and keeps K's vectors as ``relation_members``; no
+    relation list is kept, since many generate the same K.  ``elements[i]``
+    is the canonical representative (a tuple of ring codes) of the i-th
+    coset, listed in lexicographic order, so index order and representative
+    order agree.
 
     An ambient vector v is coded as the integer sum of v[j] * |R|^(rank-1-j);
     code order is lexicographic order, so in a free module an element's index
-    is its code.  Any other module is the coset quotient of that free module
-    by K, generated there.  It keeps ``_class_of``, the index of the coset of
+    is its code.  Any other module is the coset quotient of the interned free
+    module by K.  It keeps ``_class_of``, the index of the coset of
     every ambient code, and ``_rep_codes``, the code of every representative.
     Addition and scalar action are exposed on indices (``add_i``,
     ``scale_i``) through index rows kept in ``derived``: one scalar row per
@@ -97,21 +102,20 @@ class ModulePresentation:
     Direct construction checks no bound and does not intern.
     """
 
-    def __init__(self, ring: FiniteRing, rank: int, relations=()):
-        relations, free, kernel = _relation_span(ring, rank, relations)
+    def __init__(self, ring: FiniteRing, rank: int, kernel: frozenset[int] = _ZERO_CODES):
         self.ring = ring
         self.rank = rank
-        self.relations = relations
 
         zero_vec = (ring.zero,) * rank
         ambient = ring.size ** rank
-        if free is None:
+        if kernel == _ZERO_CODES:
             self.elements: tuple[tuple, ...] = tuple(_cartesian(range(ring.size), repeat=rank))
             self._class_of = self._rep_codes = range(ambient)
             self.relation_members = frozenset({zero_vec})
         else:
             # Sweep in code order: the first code not yet in a coset is its
             # least member, hence the canonical representative.
+            free = _interned(ring, rank, _ZERO_CODES)
             codes = _shared_codes(ambient)
             class_of: list = [None] * ambient
             rep_codes: list[int] = []
@@ -248,7 +252,7 @@ class ModulePresentation:
         return self._hash
 
     def __repr__(self) -> str:
-        rel = "" if not self.relations else f" mod <{len(self.relations)} relations>"
+        rel = "" if self.is_free else f" mod <{len(self.relation_members)} relation vectors>"
         return f"Module({self.ring.descriptor}^{self.rank}{rel}, {self.element_count} elements)"
 
 
@@ -382,26 +386,25 @@ def presented_module(ring: FiniteRing, rank: int, relations=(),
                      element_bound: int = DEFAULT_ELEMENT_BOUND) -> ModulePresentation:
     """Build (or reuse) the presentation R^rank / <relations>.
 
-    The element bound is checked first.  Presentations are interned on
-    (ring, rank, relation submodule), which is found before any coset is
-    built, so equal presentations share element tables and ``derived`` tables.
+    The element bound is checked first.  The relation submodule K is then
+    generated once, in the interned free module, and the presentation is
+    interned on (ring, rank, K) and built from K on a miss, so equal
+    presentations share element tables and ``derived`` tables.
     """
     ambient = ring.size ** rank
     if ambient > element_bound:
         raise BoundExceededError(
             f"enumerating {ring.descriptor}^{rank}", ambient, element_bound,
             "--element-bound")
-    relations, _, kernel = _relation_span(ring, rank, relations)
-    return _interned(ring, rank, relations, kernel)
+    return _interned(ring, rank, _relation_span(ring, rank, relations))
 
 
-def _interned(ring: FiniteRing, rank: int, relations: tuple,
-              kernel: frozenset[int]) -> ModulePresentation:
+def _interned(ring: FiniteRing, rank: int, kernel: frozenset[int]) -> ModulePresentation:
     """The presentation with relation submodule ``kernel`` (ambient codes),
-    built from ``relations`` on a cache miss."""
+    built from it on a cache miss."""
     key = (ring.descriptor, rank, kernel)
     if key not in _PRESENTATION_CACHE:
-        _PRESENTATION_CACHE[key] = ModulePresentation(ring, rank, relations)
+        _PRESENTATION_CACHE[key] = ModulePresentation(ring, rank, kernel)
     return _PRESENTATION_CACHE[key]
 
 
@@ -536,8 +539,8 @@ def enumerate_submodules(M: ModulePresentation,
 class Quotient:
     """The quotient M/M' together with its forward and backward coset maps.
 
-    Its relations are those of M plus the generators of M', and its relation
-    submodule, the preimage of M' under M's coset map, is found first."""
+    Its relation submodule is the preimage of M' under M's coset map, read
+    from M's cosets; the quotient is interned on it and built from it."""
 
     def __init__(self, source: ModulePresentation, sub: Submodule):
         if sub.module != source:
@@ -547,8 +550,7 @@ class Quotient:
         class_of = source._class_of
         kernel = frozenset(compress(
             range(len(class_of)), map(sub.member_indices.__contains__, class_of)))
-        self.module = _interned(source.ring, source.rank,
-                                source.relations + sub.generators, kernel)
+        self.module = _interned(source.ring, source.rank, kernel)
         # same ring and rank, so ambient codes agree
         self.forward_row = list(map(self.module._class_of.__getitem__, source._rep_codes))
 
@@ -591,23 +593,20 @@ def _code(size: int, vec) -> int:
     return code
 
 
-def _relation_span(ring: FiniteRing, rank: int, relations):
-    """The relations as code tuples, the interned free module R^rank and the
-    relation submodule as ambient codes.  With no nonzero relation the free
-    module is not touched, so a fresh ``relations=[(0,0)]`` keeps its own
-    relations rather than being found as the free module."""
+def _relation_span(ring: FiniteRing, rank: int, relations) -> frozenset[int]:
+    """The relation submodule generated by ``relations``, as ambient codes,
+    generated in the interned free module R^rank (where index = code)."""
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
-    relations = tuple(tuple(_as_code(ring, c) for c in rel) for rel in relations)
+    codes = []
     for rel in relations:
+        rel = tuple(_as_code(ring, c) for c in rel)
         if len(rel) != rank:
             raise ValueError(
                 f"relation {rel} has length {len(rel)}, expected rank {rank}")
-    nonzero = [_code(ring.size, rel) for rel in relations if any(rel)]
-    if not nonzero:
-        return relations, None, _ZERO_CODES
-    free = _interned(ring, rank, (), _ZERO_CODES)
-    return relations, free, _generate_from_indices(free, nonzero).member_indices
+        codes.append(_code(ring.size, rel))
+    free = _interned(ring, rank, _ZERO_CODES)
+    return _generate_from_indices(free, codes).member_indices
 
 
 def _as_code(ring: FiniteRing, c) -> int:

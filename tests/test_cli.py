@@ -8,6 +8,7 @@ import pytest
 import modradical.cli
 from modradical import radical
 from modradical.cli import main
+from modradical.instance import parse_instance
 from modradical.modules import ModulePresentation, full_submodule, zero_submodule
 from modradical.rings import make_zn
 
@@ -33,6 +34,18 @@ def test_documented_commands_match_golden_bytes(capsys, command, instance, golde
                              "--format", "structured")
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_report_prints_the_file_relations_after_another_list_built_the_module(
+        tmp_path, capsys):
+    parse_instance("ring Z/4\nmodule rank=2 relations=[(2,0),(0,2),(2,2)]\n")
+    inst = tmp_path / "m.instance"
+    inst.write_text("ring Z/4\nmodule rank=2 relations=[(2,2),(0,2)]\n"
+                    "submodule N gens=[]\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "check-semiprime", str(inst), "N",
+                           "--format", "structured")
+    assert code == 0
+    assert "module = rank=2 relations=[(2,2),(0,2)]\n" in out
 
 
 def test_structured_output_is_stable_across_runs(capsys):

@@ -128,11 +128,23 @@ def test_round_trip_is_identity_on_declarations():
 
 
 def test_fresh_parse_of_zero_relations_keeps_its_module_line(monkeypatch):
-    # with nothing interned, building the free module first would let it
-    # stand in for this presentation and print relations=[]
-    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    # cold: generating K interns the free module, which is this presentation;
+    # warm: the free module was interned to generate another presentation
     text = "ring Z/4\nmodule rank=2 relations=[(0,0)]\n"
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
     assert render_instance(parse_instance(text)) == text
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    parse_instance("ring Z/4\nmodule rank=2 relations=[(2,0)]\n")
+    assert render_instance(parse_instance(text)) == text
+
+
+def test_rendering_prints_the_parsed_relations_whatever_was_interned_before():
+    first = "ring Z/2\nmodule rank=2 relations=[(1,0),(1,1)]\n"
+    second = "ring Z/2\nmodule rank=2 relations=[(0,1),(1,0)]\n"
+    a, b = parse_instance(first), parse_instance(second)
+    assert a.module is b.module
+    assert render_instance(a) == first
+    assert render_instance(b) == second
 
 
 def test_parse_rank_zero_module():

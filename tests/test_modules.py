@@ -85,6 +85,19 @@ def test_presented_module_interning(z4):
     assert a is b  # same relation submodule
 
 
+def test_relation_submodule_is_generated_at_most_once_per_cold_request(monkeypatch, z4):
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    calls = []
+    span = modules._relation_span
+    monkeypatch.setattr(modules, "_relation_span",
+                        lambda *args: calls.append(args) or span(*args))
+    M = presented_module(z4, 2, [(2, 0)])
+    assert len(calls) == 1
+    calls.clear()
+    q = quotient_module(M, submodule_generate(M, [(0, 2)]))
+    assert q.module.element_count == 4 and calls == []
+
+
 def test_reduction_canonicalization_exhaustive():
     # reduce(v) == reduce(w) iff v - w lies in the relation submodule
     cases = [
@@ -131,7 +144,7 @@ _Z2Z4 = [make_zn(2), make_zn(4)]
 ])
 def test_coded_arithmetic_matches_tuple_oracle(ring, rank, relations):
     # built directly, so not interned: no row exists before the lone products
-    M = ModulePresentation(ring, rank, relations)
+    M = ModulePresentation(ring, rank, modules._relation_span(ring, rank, relations))
     oracle = oracles.CosetArithmetic(ring, rank, relations)
     assert list(M.elements) == oracle.elements
     n, scalars = M.element_count, range(ring.size)

@@ -129,7 +129,7 @@ def test_instance_render_parse_round_trip(pair):
     M, N = pair
     text = (f"ring {M.ring.descriptor}\n"
             f"module rank={M.rank} relations="
-            f"[{','.join('(' + ','.join(map(str, r)) + ')' for r in M.relations)}]\n"
+            f"[{','.join('(' + ','.join(map(str, r)) + ')' for r in sorted(M.relation_members))}]\n"
             f"submodule N gens="
             f"[{','.join('(' + ','.join(map(str, g)) + ')' for g in N.generators)}]\n")
     first = parse_instance(text)
