@@ -10,6 +10,7 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 # Ring axioms are verified by full enumeration up to this size; all the stock
@@ -423,39 +424,37 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
     cyclic set it added.  Returns ``(members, generators)`` pairs sorted by
     (size, member list).
 
-    The closure kernel runs once per distinct join ``S + C`` from a set
-    ``S``, not once per cyclic set ``C``.  Two preconditions make that exact:
-    ``x`` is in ``cyclic_of(x)``, and every set met is closed under the
-    action that makes the cyclic sets (each is a sum of them).  Then ``C``
-    lies inside ``S`` exactly when its generator ``x`` does, and among the
-    joins already computed from ``S`` the one that contains ``x`` and has
-    ``|S| * |C| / |S & C|`` members is ``S + C``: it contains ``S + C`` and has
-    its size.
+    From a set ``S`` the cyclic sets are walked in (size, member list) order,
+    skipping each one inside ``S`` or inside a join ``S + C`` already computed
+    from ``S``, so the closure kernel runs once per distinct join.  A set
+    marks the cyclic sets ``cyclic_of(y)`` of its members ``y``.  The skip is
+    exact under two preconditions: the cyclic sets are sorted by size first,
+    and ``cyclic_of(x)`` is ``Rx`` over a commutative unital ring.  Then every
+    set met is closed under R and ``x`` is in ``Rx``, so a set marks exactly
+    the cyclic sets inside it; and ``R(rx) = r*Rx`` is no larger than ``Rx``.
+    A cyclic set ``Ry`` inside ``S + Rx`` has ``y = s + rx`` with ``s`` in
+    ``S``, so its join with ``S`` is ``S + R(rx)``: either ``S + Rx`` itself,
+    or the join of a smaller cyclic set, sorted earlier and so already
+    reached.  Each join is thus computed from the first cyclic set in order
+    that gives it, and gets the generators of a walk over every cyclic set.
     """
     first_gen: dict[frozenset[int], int] = {}
-    for x in range(size):
-        first_gen.setdefault(cyclic_of(x), x)
+    least = [first_gen.setdefault(cyclic_of(x), x) for x in range(size)]
     cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
+    gens = [first_gen[C] for C in cyclics]
+    ci = list(map({x: i for i, x in enumerate(gens)}.__getitem__, least))
     zero_ms = frozenset({zero})
     gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
     frontier = [zero_ms]
     while frontier:
         nxt = []
         for S in frontier:
-            joins_by_size: dict[int, list[frozenset[int]]] = {}
-            for C in cyclics:
-                x = first_gen[C]
-                if x in S:
-                    continue
-                same_size = joins_by_size.setdefault(len(S) * len(C) // len(S & C), [])
-                for J in same_size:
-                    if x in J:
-                        break
-                else:
-                    J = frozenset(additive_closure(S, C, row_of))
-                    same_size.append(J)
+            done = set(map(ci.__getitem__, S))
+            for i in filterfalse(done.__contains__, range(len(cyclics))):
+                J = frozenset(additive_closure(S, cyclics[i], row_of))
+                done.update(map(ci.__getitem__, J))
                 if J not in gens_of:
-                    gens_of[J] = gens_of[S] + (x,)
+                    gens_of[J] = gens_of[S] + (gens[i],)
                     nxt.append(J)
         frontier = nxt
     return sorted(gens_of.items(), key=lambda item: (len(item[0]), sorted(item[0])))

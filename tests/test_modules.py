@@ -371,6 +371,11 @@ def test_enumerate_submodules_matches_subset_oracle():
     pytest.param(lambda: presented_module(make_zn(4), 2, [(2, 2)]), id="z4-rank2-mod-22"),
     pytest.param(lambda: free_module(make_product([make_zn(2), make_zn(4)]), 1),
                  id="z2z4-rank1"),
+    # non-field modules where a cyclic set inside S + C joins S to a smaller set
+    pytest.param(lambda: free_module(make_zn(8), 2), id="z8-rank2"),
+    pytest.param(lambda: free_module(make_zn(6), 2), id="z6-rank2"),
+    pytest.param(lambda: free_module(make_product([make_zn(2), make_zn(4)]), 2),
+                 id="z2z4-rank2"),
 ])
 def test_enumerate_submodules_matches_breadth_first_reference(make_module):
     M = make_module()
@@ -380,19 +385,24 @@ def test_enumerate_submodules_matches_breadth_first_reference(make_module):
     assert got == expected
 
 
-def test_lattice_computes_each_distinct_join_once(monkeypatch):
+@pytest.mark.parametrize("ring, rank, distinct_joins", [
+    # 13 lines from zero, 4 planes above each line, the whole space above each plane
+    (make_zn(3), 3, 13 + 13 * 4 + 13 * 1),
+    (make_product([make_zn(2), make_zn(4)]), 2, 552),
+], ids=["z3-rank3", "z2z4-rank2"])
+def test_lattice_computes_each_distinct_join_once(monkeypatch, ring, rank, distinct_joins):
     # built directly, so not interned: nothing about its lattice is cached yet
-    M = ModulePresentation(make_zn(3), 3)
+    M = ModulePresentation(ring, rank)
     calls = []
     closure = rings.additive_closure
     monkeypatch.setattr(rings, "additive_closure",
                         lambda *args: calls.append(args) or closure(*args))
     subs = [N.member_indices for N in enumerate_submodules(M)]
-    cyclics = {frozenset(M.scale_i(r, x) for r in range(3)) for x in range(M.element_count)}
+    cyclics = {frozenset(M.scale_i(r, x) for r in range(ring.size))
+               for x in range(M.element_count)}
     joins = {(S, oracles.pairwise_span(S | C, M.add_i))
              for S in subs for C in cyclics if not C <= S}
-    # 13 lines from zero, 4 planes above each line, the whole space above each plane
-    assert len(joins) == 13 + 13 * 4 + 13 * 1
+    assert len(joins) == distinct_joins
     assert len(calls) == len(joins)
 
 

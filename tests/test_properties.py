@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
 
 from modradical.instance import parse_instance, parse_ring_descriptor, render_instance
 from modradical.modules import (
     colon_ideal,
     colon_module,
+    enumerate_submodules,
     ideal_times_module,
     intersect,
     join,
@@ -86,6 +89,16 @@ def test_reduction_respects_cosets(M, data):
     diff = tuple(ring.sub(a, b) for a, b in zip(v, w))
     assert (M.reduce(v) == M.reduce(w)) == (diff in M.relation_members)
     assert M.reduce(M.reduce(v)) == M.reduce(v)
+
+
+@given(presentations())
+@settings(max_examples=30, deadline=None)
+def test_lattice_matches_breadth_first_reference(M):
+    assume(M.element_count <= 64)
+    expected = oracles.breadth_first_joins(M.element_count, M.zero_index, M.add_i,
+                                           M.scale_i, range(M.ring.size))
+    got = [(sorted(N.member_indices), N.generator_indices) for N in enumerate_submodules(M)]
+    assert got == expected
 
 
 @given(module_and_submodule(), st.data())

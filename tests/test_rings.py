@@ -244,7 +244,8 @@ def test_is_ideal_members_matches_oracle_on_every_subset(descriptor):
     assert verdicts.count(True) == len(oracles.all_ideal_sets(ring))
 
 
-@pytest.mark.parametrize("descriptor", ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)"])
+@pytest.mark.parametrize("descriptor", ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)",
+                                        "Z/36", "product(Z/4, Z/4)"])
 def test_enumerate_ideals_matches_breadth_first_reference(descriptor):
     ring = parse_ring_descriptor(descriptor)
     expected = oracles.breadth_first_joins(ring.size, ring.zero, ring.add, ring.mul,
