@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .harness import (
@@ -58,25 +58,12 @@ CHECK_COMMANDS = {
 }
 
 
-@dataclass
-class Flags:
-    format: str = "text"
-    out: str | None = None
-    element_bound: int = DEFAULT_ELEMENT_BOUND
-    lattice_bound: int = DEFAULT_LATTICE_BOUND
-    seed: int | None = None
-    spec: str | None = None
-    name: str | None = None
-
-
 def _context(inst: InstanceFile) -> dict:
     return {"ring": inst.ring.descriptor,
             "module": format_module(inst.module.rank, inst.relations)}
 
 
-def _named_submodule(inst: InstanceFile, name: str | None):
-    if name is None:
-        raise ValueError("this command needs a submodule name")
+def _named_submodule(inst: InstanceFile, name: str):
     sub = inst.submodules.get(name)
     if sub is None:
         known = ", ".join(inst.submodules) or "none declared"
@@ -105,7 +92,7 @@ def _witness_data(verdict: Verdict) -> dict | str:
 # -- command implementations -------------------------------------------------------
 
 
-def _run_check(inst: InstanceFile, command: str, flags: Flags) -> dict:
+def _run_check(inst: InstanceFile, command: str, flags: argparse.Namespace) -> dict:
     N = _named_submodule(inst, flags.name)
     verdict = CHECK_COMMANDS[command](N)
     return {
@@ -131,7 +118,7 @@ def _row_data(row: NotionRow) -> dict:
     return data
 
 
-def _run_compare(inst: InstanceFile, flags: Flags) -> dict:
+def _run_compare(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     rows = compare_notions(inst.module, flags.lattice_bound)
     return {
         "command": "compare",
@@ -142,7 +129,7 @@ def _run_compare(inst: InstanceFile, flags: Flags) -> dict:
     }
 
 
-def _run_radical(inst: InstanceFile, flags: Flags) -> tuple[dict, int]:
+def _run_radical(inst: InstanceFile, flags: argparse.Namespace) -> tuple[dict, int]:
     N = _named_submodule(inst, flags.name)
     by_primes = radical_by_primes(N, flags.lattice_bound)
     by_iteration, _ = radical_by_iteration(N)
@@ -164,7 +151,7 @@ def _run_radical(inst: InstanceFile, flags: Flags) -> tuple[dict, int]:
     return data, (0 if agree else 1)
 
 
-def _run_radical_trace(inst: InstanceFile, flags: Flags) -> dict:
+def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     N = _named_submodule(inst, flags.name)
     _, trace = radical_by_iteration(N)
     steps = []
@@ -199,7 +186,7 @@ def _run_radical_trace(inst: InstanceFile, flags: Flags) -> dict:
     }
 
 
-def _run_primes(inst: InstanceFile, flags: Flags) -> dict:
+def _run_primes(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     primes = prime_submodules(inst.module, flags.lattice_bound)
     return {
         "command": "primes",
@@ -242,7 +229,7 @@ def verify_report_data(report: VerificationReport, include_timing: bool = False)
     return data
 
 
-def _run_verify(flags: Flags) -> tuple[dict, int]:
+def _run_verify(flags: argparse.Namespace) -> tuple[dict, int]:
     from .harness import parse_corpus_spec
     if flags.spec is not None:
         spec = parse_corpus_spec(Path(flags.spec).read_text(encoding="utf-8"))
@@ -256,7 +243,7 @@ def _run_verify(flags: Flags) -> tuple[dict, int]:
 
 
 def run_command(instance: InstanceFile | None, command: str,
-                flags: Flags) -> tuple[dict, int]:
+                flags: argparse.Namespace) -> tuple[dict, int]:
     """Dispatch one command against a parsed instance; returns (report, exit code)."""
     if command == "verify":
         return _run_verify(flags)
@@ -387,25 +374,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    flags = Flags(format=args.format, out=args.out,
-                  element_bound=getattr(args, "element_bound", DEFAULT_ELEMENT_BOUND),
-                  lattice_bound=getattr(args, "lattice_bound", DEFAULT_LATTICE_BOUND),
-                  seed=getattr(args, "seed", None),
-                  spec=getattr(args, "spec", None),
-                  name=getattr(args, "name", None))
     try:
         instance = None
-        if getattr(args, "file", None) is not None:
+        if "file" in args:  # every command but verify reads an instance file
             text = Path(args.file).read_text(encoding="utf-8")
-            instance = parse_instance(text, flags.element_bound)
-        data, code = run_command(instance, args.command, flags)
+            instance = parse_instance(text, args.element_bound)
+        data, code = run_command(instance, args.command, args)
     except (ParseError, BoundExceededError, RingConstructionError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = render_structured(data) if flags.format == "structured" else render_text(data)
-    if flags.out is not None:
-        Path(flags.out).write_text(rendered, encoding="utf-8")
+    rendered = render_structured(data) if args.format == "structured" else render_text(data)
+    if args.out is not None:
+        Path(args.out).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
     return code

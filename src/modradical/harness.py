@@ -243,7 +243,7 @@ def _check_iteration(module, subs, lattice_bound, *_):
         if not prev.member_indices <= step.submodule.member_indices:
             return f"chain shrinks at step {step.index}"
         for w in step.witnesses:
-            if not w.replays_against(prev):
+            if not (w.submodule == prev and w.replays()):
                 return f"step {step.index} witness {format_vec(w.m)} does not replay"
         prev = step.submodule
     if not is_semiprime_submodule(fixpoint).holds:
@@ -443,11 +443,13 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
     Keys: ``rings`` (comma-separated descriptors), ``max_rank``,
     ``strategies`` (comma-separated), ``element_bound``, ``lattice_bound``,
     ``seed``, ``relation_samples``, ``submodule_samples``.  Missing keys take
-    the defaults of :class:`CorpusSpec`; ``#`` starts a comment.
+    the defaults of :class:`CorpusSpec`; ``#`` starts a comment.  A value
+    below its least (in ``int_keys``) is rejected: a rank or element bound
+    below 1 would admit no module and pass every claim vacuously.
     """
     values: dict = {}
-    int_keys = {"max_rank", "element_bound", "lattice_bound", "seed",
-                "relation_samples", "submodule_samples"}
+    int_keys = {"max_rank": 1, "element_bound": 1, "lattice_bound": 0, "seed": None,
+                "relation_samples": 0, "submodule_samples": 0}  # key: least value
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -465,6 +467,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             except ValueError:
                 raise ValueError(f"corpus spec line {line_no}: {key} needs an integer, "
                                  f"got {rest!r}") from None
+            if int_keys[key] is not None and values[key] < int_keys[key]:
+                raise ValueError(f"corpus spec line {line_no}: {key} must be at least "
+                                 f"{int_keys[key]}, got {values[key]}")
         else:
             raise ValueError(f"corpus spec line {line_no}: unknown key {key!r}")
     if "rings" not in values:

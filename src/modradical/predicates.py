@@ -7,13 +7,15 @@ violating elements together with the intermediate sets that were computed;
 failure, which keeps reported counterexamples honest.
 
 Throughout, conditions on single elements are membership conditions: the
-colon ideal (N : m) is {r : r*m in N}.
+colon ideal (N : m) is {r : r*m in N}.  ``_qualifiers`` is the one scan for
+m in (N:m)M, so a radical chain step's witnesses are the semiprime
+witnesses of its predecessor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .modules import (
     DEFAULT_LATTICE_BOUND,
@@ -124,19 +126,34 @@ def is_semiprime_submodule(N: Submodule) -> Verdict:
 
 def _semiprime_verdict(M: ModulePresentation, ms: frozenset[int]) -> Verdict:
     # the verdict belongs to the member set, so its witness's submodule is rebuilt
-    N = Submodule(M, ms, tuple(sorted(ms)))
+    for _, witness in _qualifiers(Submodule(M, ms, tuple(sorted(ms)))):
+        return Verdict(False, witness)
+    return Verdict(True)
+
+
+def _qualifiers(N: Submodule) -> Iterator[tuple[int, PredicateWitness]]:
+    """Yield (index, semiprime witness) for each m outside N with m in (N:m)M.
+
+    Elements of N always qualify and never violate, so they are skipped.
+    Items come in index order; qualifiers with equal (N:m)M share one
+    ``product_members`` tuple.
+    """
+    M = N.module
+    ms = N.member_indices
     rows = scaled_rows(M)
+    products: dict[frozenset[int], tuple] = {}
     for mi in range(M.element_count):
         if mi in ms:
-            continue  # m in N never violates
+            continue
         colon = colon_codes(N, mi, rows)
         product = M.ideal_action(colon)
         if mi in product:
-            return Verdict(False, PredicateWitness(
+            members = products.get(product)
+            if members is None:
+                members = products[product] = _reps(M, product)
+            yield mi, PredicateWitness(
                 kind="semiprime", submodule=N, m=M.elements[mi],
-                colon_members=tuple(sorted(colon)),
-                product_members=_reps(M, product)))
-    return Verdict(True)
+                colon_members=tuple(sorted(colon)), product_members=members)
 
 
 def is_dauns_semiprime(N: Submodule) -> Verdict:

@@ -5,7 +5,8 @@ the submodule lattice, and records a step-by-step trace of the growing
 chain.  ``radical_by_primes`` and ``smallest_semiprime_over`` realize the
 definitional forms (intersection of primes above N; intersection of
 semiprimes above N) and are gated by the lattice bound.  On every module the
-three must agree, which the harness and the acceptance suite certify.
+three must agree, which the harness and the acceptance suite certify.  A
+chain step's witnesses are the semiprime witnesses of its predecessor.
 """
 
 from __future__ import annotations
@@ -17,38 +18,17 @@ from .modules import (
     DEFAULT_LATTICE_BOUND,
     ModulePresentation,
     Submodule,
-    colon_codes,
     enumerate_submodules,
     full_submodule,
     intersect,
-    scaled_rows,
     _generate_from_indices,
 )
-from .predicates import is_prime_submodule, is_semiprime_submodule
-
-
-@dataclass(frozen=True)
-class RadicalGeneratorWitness:
-    """Why one element qualified for the next chain step.
-
-    ``m`` satisfies m in (N:m)M against the previous chain member N; the
-    member lists of the colon ideal and of its action on M are frozen here
-    so the qualification can be replayed literally.
-    """
-
-    m: tuple
-    colon_members: tuple
-    product_members: tuple
-
-    def replays_against(self, previous: Submodule) -> bool:
-        M = previous.module
-        mi = M.index_of(self.m)
-        colon = colon_codes(previous, mi, scaled_rows(M))
-        product = M.ideal_action(colon)
-        els = M.elements
-        return (tuple(sorted(colon)) == self.colon_members
-                and tuple(els[i] for i in sorted(product)) == self.product_members
-                and mi in product)
+from .predicates import (
+    PredicateWitness,
+    _qualifiers,
+    is_prime_submodule,
+    is_semiprime_submodule,
+)
 
 
 @dataclass(frozen=True)
@@ -58,7 +38,7 @@ class RadicalStep:
     index: int
     submodule: Submodule
     new_members: tuple
-    witnesses: tuple[RadicalGeneratorWitness, ...]
+    witnesses: tuple[PredicateWitness, ...]
 
 
 @dataclass(frozen=True)
@@ -79,34 +59,16 @@ class RadicalTrace:
         return self.steps[-1].submodule if self.steps else self.start
 
 
-def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[RadicalGeneratorWitness, ...]]:
+def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[PredicateWitness, ...]]:
     """One chain step: the submodule generated by {m : m in (N:m)M}.
 
     Elements of N always qualify (their colon ideal is the whole ring), so
-    the chain can only grow.  Witnesses are recorded for the qualifying
-    elements outside N; witnesses with the same (N:m)M share one member tuple.
+    the chain can only grow.  The witnesses are the semiprime witnesses of
+    N, one per qualifying element outside N, in index order.
     """
-    M = N.module
-    ms = N.member_indices
-    rows = scaled_rows(M)
-    qualifying = []
-    witnesses = []
-    product_members: dict[frozenset[int], tuple] = {}
-    els = M.elements
-    for mi in range(M.element_count):
-        if mi in ms:
-            qualifying.append(mi)
-            continue
-        colon = colon_codes(N, mi, rows)
-        product = M.ideal_action(colon)
-        if mi in product:
-            qualifying.append(mi)
-            members = product_members.get(product)
-            if members is None:
-                members = product_members[product] = tuple(els[i] for i in sorted(product))
-            witnesses.append(RadicalGeneratorWitness(
-                m=els[mi], colon_members=tuple(sorted(colon)), product_members=members))
-    return _generate_from_indices(M, tuple(qualifying)), tuple(witnesses)
+    qualifying = dict(_qualifiers(N))
+    step = _generate_from_indices(N.module, sorted(N.member_indices.union(qualifying)))
+    return step, tuple(qualifying.values())
 
 
 def first_radical(N: Submodule) -> Submodule:

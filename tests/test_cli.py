@@ -137,6 +137,15 @@ def test_verify_seed_override(tmp_path, capsys):
     assert "spec.seed = 9" in out
 
 
+@pytest.mark.parametrize("line", ["element_bound -4", "max_rank 0"])
+def test_verify_rejects_a_spec_that_admits_nothing(tmp_path, capsys, line):
+    spec = tmp_path / "empty.spec"
+    spec.write_text(f"rings Z/4\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert "corpus spec line 2" in err
+
+
 @pytest.mark.parametrize("flag", ["--element-bound", "--lattice-bound"])
 def test_verify_rejects_bound_flags(capsys, flag):
     # the corpus spec carries the bounds verify uses

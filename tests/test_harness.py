@@ -277,6 +277,15 @@ def test_parse_corpus_spec_defaults_and_errors():
         parse_corpus_spec("rings Q/2\n")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_rank", 0), ("element_bound", -4), ("element_bound", 0), ("lattice_bound", -1),
+    ("relation_samples", -1), ("submodule_samples", -1),
+])
+def test_parse_corpus_spec_rejects_degenerate_bounds(key, value):
+    with pytest.raises(ValueError, match=f"line 3: {key} must be at least"):
+        parse_corpus_spec(f"rings Z/2\n# a degenerate bound\n{key} {value}\n")
+
+
 # -- the derived-value table -----------------------------------------------------
 
 

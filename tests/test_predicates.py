@@ -19,6 +19,7 @@ from modradical.predicates import (
     is_prime_submodule,
     is_semiprime_submodule,
 )
+from modradical.radical import first_radical_step
 from modradical.rings import is_semiprime_ideal, make_gf, make_product, make_zn
 from modradical.modules import colon_ideal
 
@@ -99,6 +100,24 @@ def test_semiprime_matches_definition_oracle():
         got = {N.member_indices for N in enumerate_submodules(M)
                if is_semiprime_submodule(N).holds}
         assert got == expected
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_MODULES)))
+def test_semiprime_verdict_and_radical_step_share_one_scan(index):
+    M = SMALL_MODULES[index]()
+    semiprime = {frozenset(s) for s in oracles.semiprime_sets_by_definition(M)}
+    for N in enumerate_submodules(M):
+        step, witnesses = first_radical_step(N)
+        assert (step == N) == (N.member_indices in semiprime)
+        verdict = is_semiprime_submodule(N)
+        assert verdict.holds == (not witnesses)
+        if not verdict.holds:
+            w, first = verdict.witness, witnesses[0]
+            assert (w.m, w.colon_members, w.product_members) == (
+                first.m, first.colon_members, first.product_members)
+        shared: dict = {}
+        for w in witnesses:
+            assert shared.setdefault(w.product_members, w.product_members) is w.product_members
 
 
 # -- squares condition -----------------------------------------------------------

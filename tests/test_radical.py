@@ -117,7 +117,7 @@ def test_first_radical_qualifiers_recorded(z4_plane):
     _, witnesses = first_radical_step(N)
     assert [w.m for w in witnesses] == [(0, 2), (2, 2)]
     for w in witnesses:
-        assert w.replays_against(N)
+        assert w.submodule == N and w.replays()
 
 
 # -- iteration --------------------------------------------------------------------
@@ -155,7 +155,7 @@ def test_trace_chain_is_weakly_increasing_and_replayable():
             for step in trace.steps:
                 assert prev.member_indices <= step.submodule.member_indices
                 for w in step.witnesses:
-                    assert w.replays_against(prev)
+                    assert w.submodule == prev and w.replays()
                 prev = step.submodule
             assert trace.fixpoint_index <= M.element_count or M.element_count == 0
             assert fixpoint.member_indices == trace.fixpoint.member_indices
