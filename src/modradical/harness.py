@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .instance import (
     InstanceFile,
+    ParseError,
     format_module,
     format_vec,
     format_vec_list,
@@ -61,12 +62,6 @@ CLAIM_IDS = (
     "THM-ITERATION",
     "THM-RADICAL-EQ-SEMIPRIME",
 )
-
-# notion pair -> the separation it looks for (weaker notion holds, stronger fails)
-SEPARATION_PAIRS = {
-    "semiprime-vs-prime": "SEP-SEMIPRIME-NOT-PRIME",
-    "dauns-vs-semiprime": "SEP-DAUNS-NOT-SEMIPRIME",
-}
 
 
 @dataclass(frozen=True)
@@ -206,14 +201,29 @@ def _check_prime_implies_sp(module, subs, *_):
 
 
 def _check_colon_semiprime(module, subs, *_):
+    """N semiprime <=> every (N:m) semiprime <=> r*r*m in N implies r*m in N.
+
+    The last two agree over any ring, as r*r lies in (N:m) exactly when
+    r*r*m lies in N, and semiprime implies the squares condition over any
+    ring.  Over a finite ring the converse holds.  R is then a product of
+    local rings R_i = e_i R with nilpotent maximal ideals p_i, and N is the
+    direct sum of its parts e_i N.  Under the squares condition, r in p_i
+    with r^(2^j) = 0 puts r*m in N after j steps, so e_i N contains
+    p_i e_i M.  Each i with e_i N != e_i M gives the proper submodule N_i
+    (e_i N in factor i, e_k M in every other), which contains P*M for the
+    maximal ideal P (p_i in factor i, R_k in every other) and so is prime.
+    N is the intersection of these N_i (or N = M), so it is radical and
+    hence semiprime.  The literal colon-ideal scan runs on semiprime N.
+    """
     N = subs["N"]
-    if not is_semiprime_submodule(N).holds:
-        return None
-    if not is_dauns_semiprime(N).holds:
-        return "semiprime submodule fails the squares condition"
-    for rep in module.elements:
-        if not is_semiprime_ideal(colon_ideal(N, rep)):
-            return f"colon ideal at {format_vec(rep)} is not semiprime"
+    semiprime = is_semiprime_submodule(N).holds
+    if semiprime != is_dauns_semiprime(N).holds:
+        return ("semiprime submodule fails the squares condition" if semiprime
+                else "squares condition holds but the submodule is not semiprime")
+    if semiprime:
+        for rep in module.elements:
+            if not is_semiprime_ideal(colon_ideal(N, rep)):
+                return f"colon ideal at {format_vec(rep)} is not semiprime"
     return None
 
 
@@ -320,20 +330,13 @@ def _check_sep_semiprime_not_prime(module, subs, *_):
     return None
 
 
-def _check_sep_dauns_not_semiprime(module, subs, *_):
-    N = subs["N"]
-    if is_dauns_semiprime(N).holds and not is_semiprime_submodule(N).holds:
-        return "satisfies the squares condition but is not semiprime"
-    return None
-
-
 # (claim id, unit shape, needs the full lattice) -> checker.  A unit is one
 # set of named submodules of an instance: "N" is each selected submodule,
 # "free N" the same on free modules only, "N1,N2" each pair of semiprime
 # ones, "MP" each one taken as the kernel of a quotient.  A claim that needs
 # the full lattice is skipped, unit by unit, on instances whose lattice was
-# sampled.  The SEP-* entries are separations: ``find_separation`` looks for
-# them and ``verify_all`` leaves them out.
+# sampled.  SEP-SEMIPRIME-NOT-PRIME is a separation: ``find_separation``
+# looks for it and ``verify_all`` leaves it out.
 CLAIMS = {
     ("PROP-COLON-SEMIPRIME", "N", False): _check_colon_semiprime,
     ("PROP-FREE-EQUIV", "free N", False): _check_free_equiv,
@@ -343,7 +346,6 @@ CLAIMS = {
     ("THM-ITERATION", "N", False): _check_iteration,
     ("THM-RADICAL-EQ-SEMIPRIME", "N", True): _check_radical_eq,
     ("SEP-SEMIPRIME-NOT-PRIME", "N", False): _check_sep_semiprime_not_prime,
-    ("SEP-DAUNS-NOT-SEMIPRIME", "N", False): _check_sep_dauns_not_semiprime,
 }
 
 
@@ -444,8 +446,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
     ``strategies`` (comma-separated), ``element_bound``, ``lattice_bound``,
     ``seed``, ``relation_samples``, ``submodule_samples``.  Missing keys take
     the defaults of :class:`CorpusSpec`; ``#`` starts a comment.  A value
-    below its least (in ``int_keys``) is rejected: a rank or element bound
-    below 1 would admit no module and pass every claim vacuously.
+    below its least (in ``int_keys``) is rejected, and so is an empty
+    ``rings`` or ``strategies`` list: either would admit no module and pass
+    every claim vacuously.  Each entry is checked on the line that gives it.
     """
     values: dict = {}
     int_keys = {"max_rank": 1, "element_bound": 1, "lattice_bound": 0, "seed": None,
@@ -456,29 +459,32 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
-        if key == "rings":
-            values["rings"] = tuple(_split_top_level(rest))
-        elif key == "strategies":
-            values["relation_strategies"] = tuple(
-                s.strip() for s in rest.split(",") if s.strip())
+        where = f"corpus spec line {line_no}"
+        if key in ("rings", "strategies"):
+            entries = tuple(_split_top_level(rest))
+            if not entries:
+                raise ValueError(f"{where}: {key} lists nothing, so no module is admitted")
+            for entry in entries:
+                if key == "rings":
+                    try:
+                        parse_ring_descriptor(entry)
+                    except ParseError as exc:
+                        raise ValueError(f"{where}: {exc.message}") from None
+                elif entry not in ("free", "cyclic", "random"):
+                    raise ValueError(f"{where}: unknown relation strategy {entry!r}")
+            values["rings" if key == "rings" else "relation_strategies"] = entries
         elif key in int_keys:
             try:
                 values[key] = int(rest)
             except ValueError:
-                raise ValueError(f"corpus spec line {line_no}: {key} needs an integer, "
-                                 f"got {rest!r}") from None
+                raise ValueError(f"{where}: {key} needs an integer, got {rest!r}") from None
             if int_keys[key] is not None and values[key] < int_keys[key]:
-                raise ValueError(f"corpus spec line {line_no}: {key} must be at least "
+                raise ValueError(f"{where}: {key} must be at least "
                                  f"{int_keys[key]}, got {values[key]}")
         else:
-            raise ValueError(f"corpus spec line {line_no}: unknown key {key!r}")
+            raise ValueError(f"{where}: unknown key {key!r}")
     if "rings" not in values:
         raise ValueError("corpus spec must declare a 'rings' line")
-    for strategy in values.get("relation_strategies", ()):
-        if strategy not in ("free", "cyclic", "random"):
-            raise ValueError(f"unknown relation strategy {strategy!r}")
-    for desc in values["rings"]:
-        parse_ring_descriptor(desc)
     return CorpusSpec(**values)
 
 
@@ -501,22 +507,19 @@ def _split_top_level(text: str) -> list[str]:
     return out
 
 
-def find_separation(spec: CorpusSpec, pair: str) -> list[Finding]:
-    """All corpus instances where the weaker notion holds and the stronger fails.
+def find_separation(spec: CorpusSpec) -> list[Finding]:
+    """Every proper corpus submodule that is semiprime but not prime.
 
-    ``pair`` is ``"semiprime-vs-prime"`` or ``"dauns-vs-semiprime"``.  The
-    result records observations, not counterexamples: the claims certified
-    by :func:`verify_all` say nothing about these converses.
+    These are observations, not counterexamples: nothing certified claims
+    the converse of PROP-PRIME-IMPLIES-SP.  Over a local ring a proper
+    semiprime N contains pM for the maximal ideal p, so it is prime; only
+    non-local rings separate.
     """
-    if pair not in SEPARATION_PAIRS:
-        raise ValueError(f"unknown notion pair {pair!r}; "
-                         f"expected one of {tuple(SEPARATION_PAIRS)}")
-    claim_id = SEPARATION_PAIRS[pair]
     out = []
     for inst in expand_corpus(spec):
         for N in inst.submodules:
             named = {"N": N}
-            detail = _replay_check(claim_id, inst.module, named)
+            detail = _check_sep_semiprime_not_prime(inst.module, named)
             if detail is not None:
-                out.append(Finding(claim_id, _serialize(inst, named), detail))
+                out.append(Finding("SEP-SEMIPRIME-NOT-PRIME", _serialize(inst, named), detail))
     return out

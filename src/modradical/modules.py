@@ -24,6 +24,7 @@ from .rings import (
     FiniteRing,
     Ideal,
     RingElement,
+    _as_code,
     additive_closure,
     is_ideal_members,
     lattice_by_joins,
@@ -607,14 +608,3 @@ def _relation_span(ring: FiniteRing, rank: int, relations) -> frozenset[int]:
         codes.append(_code(ring.size, rel))
     free = _interned(ring, rank, _ZERO_CODES)
     return _generate_from_indices(free, codes).member_indices
-
-
-def _as_code(ring: FiniteRing, c) -> int:
-    if isinstance(c, RingElement):
-        if c.ring != ring:
-            raise ValueError("scalar from a different ring")
-        return c.code
-    code = int(c)
-    if not 0 <= code < ring.size:
-        raise ValueError(f"scalar {code} out of range for {ring.descriptor}")
-    return code

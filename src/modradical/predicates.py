@@ -206,11 +206,10 @@ def compare_notions(M: ModulePresentation,
                     lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[NotionRow]:
     """Evaluate all predicates on every submodule of ``M``.
 
-    Rows that violate an expected implication (semiprime must imply the
-    squares condition; on free modules semiprime and the coordinate
-    condition must agree) are flagged ``CONTRADICTS-THEOREM``.  A row where
-    the squares condition holds but semiprime fails is only ``SEPARATION``:
-    nothing promises the converse implication.
+    Rows that violate a certified theorem (prime implies semiprime; over a
+    finite ring semiprime and the squares condition agree; on free modules
+    semiprime and the coordinate condition agree) are flagged
+    ``CONTRADICTS-THEOREM``.
     """
     rows = []
     for N in enumerate_submodules(M, lattice_bound):
@@ -218,11 +217,8 @@ def compare_notions(M: ModulePresentation,
         semiprime = bool(is_semiprime_submodule(N))
         dauns = bool(is_dauns_semiprime(N))
         cimpric = bool(is_cimpric_semiprime(N)) if M.is_free else None
-        flags = []
-        if ((prime and not semiprime) or (semiprime and not dauns)
-                or (cimpric is not None and semiprime != cimpric)):
-            flags.append("CONTRADICTS-THEOREM")
-        if dauns and not semiprime:
-            flags.append("SEPARATION")
-        rows.append(NotionRow(N, prime, semiprime, dauns, cimpric, tuple(flags)))
+        contradicts = ((prime and not semiprime) or semiprime != dauns
+                       or (cimpric is not None and semiprime != cimpric))
+        flags = ("CONTRADICTS-THEOREM",) if contradicts else ()
+        rows.append(NotionRow(N, prime, semiprime, dauns, cimpric, flags))
     return rows

@@ -223,7 +223,6 @@ def make_zn(n: int) -> FiniteRing:
     add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
     ring = FiniteRing(n, add, mul, 0, 1 % n, descriptor)
-    ring.modulus = n
     _RING_CACHE[descriptor] = ring
     return ring
 
@@ -317,7 +316,6 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
     ring = FiniteRing(size, add, tuple(mul_rows), 0, 1, descriptor)
     ring.char_p = p
     ring.degree_k = k
-    ring.poly = poly
     _RING_CACHE[descriptor] = ring
     return ring
 
@@ -472,19 +470,16 @@ def is_ideal_members(ring: FiniteRing, members) -> bool:
         for a in ms)
 
 
-def _coerce_codes(ring: FiniteRing, gens) -> list[int]:
-    out = []
-    for g in gens:
-        if isinstance(g, RingElement):
-            if g.ring != ring:
-                raise ValueError("generator from a different ring")
-            out.append(g.code)
-        else:
-            code = int(g)
-            if not 0 <= code < ring.size:
-                raise ValueError(f"code {code} out of range for {ring.descriptor}")
-            out.append(code)
-    return out
+def _as_code(ring: FiniteRing, c) -> int:
+    """The code of scalar ``c``: an element of ``ring`` or an int in range."""
+    if isinstance(c, RingElement):
+        if c.ring != ring:
+            raise ValueError("scalar from a different ring")
+        return c.code
+    code = int(c)
+    if not 0 <= code < ring.size:
+        raise ValueError(f"scalar {code} out of range for {ring.descriptor}")
+    return code
 
 
 def ideal_generate(ring: FiniteRing, gens) -> Ideal:
@@ -494,7 +489,7 @@ def ideal_generate(ring: FiniteRing, gens) -> Ideal:
     generators; that set is already closed under multiplication because
     ``r * (sum si*gi) = sum (r*si)*gi``.
     """
-    codes = _coerce_codes(ring, gens)
+    codes = [_as_code(ring, g) for g in gens]
     multiples = {ring.mul(r, g) for g in codes for r in range(ring.size)}
     members = additive_closure({ring.zero}, multiples, ring._add.__getitem__)
     return Ideal(ring, frozenset(members), tuple(codes))

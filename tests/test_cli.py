@@ -137,7 +137,7 @@ def test_verify_seed_override(tmp_path, capsys):
     assert "spec.seed = 9" in out
 
 
-@pytest.mark.parametrize("line", ["element_bound -4", "max_rank 0"])
+@pytest.mark.parametrize("line", ["element_bound -4", "max_rank 0", "rings", "strategies"])
 def test_verify_rejects_a_spec_that_admits_nothing(tmp_path, capsys, line):
     spec = tmp_path / "empty.spec"
     spec.write_text(f"rings Z/4\n{line}\n", encoding="utf-8")

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from modradical import modules
+from modradical import harness, modules
 from modradical.cli import verify_report_data
 from modradical.harness import (
     CLAIM_IDS,
@@ -15,7 +15,7 @@ from modradical.harness import (
     verify_all,
 )
 from modradical.modules import submodule_generate
-from modradical.predicates import _semiprime_verdict, is_semiprime_submodule
+from modradical.predicates import Verdict, _semiprime_verdict, is_semiprime_submodule
 from modradical.report import render_structured
 
 
@@ -197,8 +197,7 @@ def test_verify_report_counts_are_consistent():
 
 def test_separation_semiprime_not_prime_on_z6():
     findings = find_separation(spec_of(rings=("Z/6",), max_rank=1,
-                                       relation_strategies=("free",)),
-                               "semiprime-vs-prime")
+                                       relation_strategies=("free",)))
     assert len(findings) == 1
     f = findings[0]
     assert f.claim_id == "SEP-SEMIPRIME-NOT-PRIME"
@@ -206,22 +205,31 @@ def test_separation_semiprime_not_prime_on_z6():
     assert f.replay()
 
 
-def test_separation_dauns_vs_semiprime_outcome_is_recorded():
-    findings = find_separation(spec_of(rings=("Z/4", "Z/6"), max_rank=1),
-                               "dauns-vs-semiprime")
-    # nothing is promised either way; whatever is found must replay
-    for f in findings:
-        assert f.claim_id == "SEP-DAUNS-NOT-SEMIPRIME"
-        assert f.replay()
+def test_separations_of_the_default_corpus_lie_on_the_non_local_rings():
+    # over a local ring a proper semiprime submodule is prime
+    by_ring: dict[str, int] = {}
+    for f in find_separation(DEFAULT_CORPUS_SPEC):
+        ring_line = f.instance_text.splitlines()[0]
+        by_ring[ring_line] = by_ring.get(ring_line, 0) + 1
+    assert by_ring == {"ring product(Z/2, Z/4)": 156, "ring Z/12": 120, "ring Z/6": 64}
 
 
 def test_separation_on_empty_corpus():
-    assert find_separation(spec_of(rings=()), "semiprime-vs-prime") == []
+    assert find_separation(spec_of(rings=())) == []
 
 
-def test_separation_rejects_unknown_pair():
-    with pytest.raises(ValueError):
-        find_separation(spec_of(), "prime-vs-maximal")
+# -- squares condition <=> semiprime -------------------------------------------------
+
+
+@pytest.mark.parametrize("squares,failed", [(True, 1), (False, 2)])
+def test_colon_semiprime_certifies_both_directions(monkeypatch, squares, failed):
+    # of the 3 submodules of Z/4, 0 is not semiprime and (2), Z/4 are: forcing
+    # the squares condition to hold (fail) everywhere fails 0 ((2) and Z/4)
+    monkeypatch.setattr(harness, "is_dauns_semiprime", lambda N: Verdict(squares))
+    report = verify_all(spec_of(rings=("Z/4",), max_rank=1, relation_strategies=("free",)))
+    tally = {c.claim_id: c for c in report.claims}["PROP-COLON-SEMIPRIME"]
+    assert (tally.checked, tally.failed) == (3, failed)
+    assert all(f.replay() for f in tally.findings)
 
 
 # -- finding replay ------------------------------------------------------------------
@@ -284,6 +292,20 @@ def test_parse_corpus_spec_defaults_and_errors():
 def test_parse_corpus_spec_rejects_degenerate_bounds(key, value):
     with pytest.raises(ValueError, match=f"line 3: {key} must be at least"):
         parse_corpus_spec(f"rings Z/2\n# a degenerate bound\n{key} {value}\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("rings", "rings lists nothing"),
+    ("strategies", "strategies lists nothing"),
+    ("strategies free, diagonal", "unknown relation strategy 'diagonal'"),
+    ("rings Z/4, Q/2", "unknown ring descriptor"),
+])
+def test_parse_corpus_spec_reports_the_line_of_a_bad_entry(line, message):
+    with pytest.raises(ValueError) as err:
+        parse_corpus_spec(f"rings Z/2\nmax_rank 1\n# a bad entry\n{line}\n")
+    text = str(err.value)
+    assert text.startswith("corpus spec line 4: ") and message in text
+    assert "col" not in text
 
 
 # -- the derived-value table -----------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from modradical import predicates
 from modradical.modules import (
     enumerate_submodules,
     free_module,
@@ -13,6 +14,7 @@ from modradical.modules import (
     zero_submodule,
 )
 from modradical.predicates import (
+    Verdict,
     compare_notions,
     is_cimpric_semiprime,
     is_dauns_semiprime,
@@ -100,6 +102,10 @@ def test_semiprime_matches_definition_oracle():
         got = {N.member_indices for N in enumerate_submodules(M)
                if is_semiprime_submodule(N).holds}
         assert got == expected
+        # over a finite ring the squares condition is semiprimeness
+        squares = {N.member_indices for N in enumerate_submodules(M)
+                   if is_dauns_semiprime(N).holds}
+        assert squares == expected
 
 
 @pytest.mark.parametrize("index", range(len(SMALL_MODULES)))
@@ -235,8 +241,15 @@ def test_compare_notions_z4(z4_line):
     assert table[((0,),)] == (False, False, False)
     assert table[((0,), (2,))] == (True, True, True)
     assert table[((0,), (1,), (2,), (3,))] == (False, True, True)
-    assert all(not row.flags or row.flags == ("SEPARATION",) for row in rows)
-    assert all("CONTRADICTS-THEOREM" not in row.flags for row in rows)
+    assert all(not row.flags for row in rows)
+
+
+def test_compare_notions_flags_squares_without_semiprime(monkeypatch, z4_line):
+    # over a finite ring the squares condition is semiprimeness (PROP-COLON-SEMIPRIME)
+    monkeypatch.setattr(predicates, "is_dauns_semiprime", lambda N: Verdict(True))
+    flagged = {row.submodule.members: row.flags for row in compare_notions(z4_line)
+               if row.flags}
+    assert flagged == {((0,),): ("CONTRADICTS-THEOREM",)}
 
 
 def test_compare_notions_z6(z6_line):
