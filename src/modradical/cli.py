@@ -344,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Semiprime submodules and radicals over finite commutative rings.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_name=False, with_file=True):
+    def common(p, with_name=False, with_file=True, with_lattice=False):
         if with_file:
             p.add_argument("file", help="instance file")
         if with_name:
@@ -354,18 +354,20 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_file:  # verify takes its bounds from the corpus spec
             p.add_argument("--element-bound", type=int, default=DEFAULT_ELEMENT_BOUND,
                            help="max ambient vectors enumerated per module")
+        if with_lattice:  # only these commands enumerate a submodule lattice
             p.add_argument("--lattice-bound", type=int, default=DEFAULT_LATTICE_BOUND,
                            help="max module size for submodule-lattice enumeration")
 
     for cmd in CHECK_COMMANDS:
         common(sub.add_parser(cmd, help=f"decide {cmd.removeprefix('check-')}"),
                with_name=True)
-    common(sub.add_parser("compare", help="predicate table over all submodules"))
+    common(sub.add_parser("compare", help="predicate table over all submodules"),
+           with_lattice=True)
     common(sub.add_parser("radical", help="radical by all three methods"),
-           with_name=True)
+           with_name=True, with_lattice=True)
     common(sub.add_parser("radical-trace", help="iterated radical with trace"),
            with_name=True)
-    common(sub.add_parser("primes", help="list the prime submodules"))
+    common(sub.add_parser("primes", help="list the prime submodules"), with_lattice=True)
     verify = sub.add_parser("verify", help="certify all claims over a corpus")
     common(verify, with_file=False)
     verify.add_argument("--spec", default=None, help="corpus spec file (default corpus if omitted)")

@@ -221,9 +221,9 @@ def _check_colon_semiprime(module, subs, *_):
         return ("semiprime submodule fails the squares condition" if semiprime
                 else "squares condition holds but the submodule is not semiprime")
     if semiprime:
-        for rep in module.elements:
-            if not is_semiprime_ideal(colon_ideal(N, rep)):
-                return f"colon ideal at {format_vec(rep)} is not semiprime"
+        for i in range(module.element_count):
+            if not is_semiprime_ideal(colon_ideal(N, i)):
+                return f"colon ideal at {format_vec(module.elements[i])} is not semiprime"
     return None
 
 
@@ -448,9 +448,11 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
     the defaults of :class:`CorpusSpec`; ``#`` starts a comment.  A value
     below its least (in ``int_keys``) is rejected, and so is an empty
     ``rings`` or ``strategies`` list: either would admit no module and pass
-    every claim vacuously.  Each entry is checked on the line that gives it.
+    every claim vacuously.  Each entry is checked on the line that gives it,
+    and a key given twice is rejected on its second line.
     """
     values: dict = {}
+    given: dict[str, int] = {}  # key: line that gave it
     int_keys = {"max_rank": 1, "element_bound": 1, "lattice_bound": 0, "seed": None,
                 "relation_samples": 0, "submodule_samples": 0}  # key: least value
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -483,6 +485,9 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
                                  f"{int_keys[key]}, got {values[key]}")
         else:
             raise ValueError(f"{where}: unknown key {key!r}")
+        if key in given:
+            raise ValueError(f"{where}: {key} was already given on line {given[key]}")
+        given[key] = line_no
     if "rings" not in values:
         raise ValueError("corpus spec must declare a 'rings' line")
     return CorpusSpec(**values)

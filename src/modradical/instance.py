@@ -26,7 +26,7 @@ from .modules import (
     presented_module,
     submodule_generate,
 )
-from .rings import FiniteRing, RingConstructionError, make_gf, make_product, make_zn
+from .rings import FiniteRing, RingConstructionError, _prime_power, make_gf, make_product, make_zn
 
 
 class ParseError(ValueError):
@@ -124,14 +124,10 @@ def _parse_descriptor(cur: _Cursor) -> FiniteRing:
         if cur.try_take("GF("):
             q = cur.integer()
             cur.take(")")
-            p = _smallest_prime_factor(q)
-            k = 0
-            qq = q
-            while qq > 1 and qq % p == 0:
-                qq //= p
-                k += 1
-            if qq != 1 or k == 0:
+            pk = _prime_power(q)
+            if pk is None:
                 cur.error(f"{q} is not a prime power", start)
+            p, k = pk
             if cur.try_take("poly="):
                 coeffs = _parse_int_list(cur)
             elif k == 1:
@@ -149,15 +145,6 @@ def _parse_descriptor(cur: _Cursor) -> FiniteRing:
     except RingConstructionError as exc:
         cur.error(str(exc), start)
     cur.error("unknown ring descriptor (expected Z/n, GF(q), or product(...))", start)
-
-
-def _smallest_prime_factor(q: int) -> int:
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
 
 
 def _parse_int_list(cur: _Cursor) -> list[int]:

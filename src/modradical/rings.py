@@ -2,16 +2,20 @@
 
 Every ring here is explicit: elements are dense integer encodings
 ``0..size-1`` and both operations are total tables over those encodings.
-Constructors cover Z/n, GF(p^k) as polynomial residues modulo an irreducible
-polynomial, and finite products with componentwise arithmetic.  Values are
-immutable after construction and safe to share between workers.
+Constructors cover Z/n, GF(p^k) as polynomial residues modulo a monic
+polynomial, and finite products with componentwise arithmetic.  A polynomial
+is accepted when every nonzero residue has an inverse, which holds exactly
+when it is irreducible.  All three tabulate through one builder that interns
+each ring on its descriptor.  Values are immutable after construction and
+safe to share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable, Sequence
+from math import isqrt, prod
+from typing import Sequence
 
 # Ring axioms are verified by full enumeration up to this size; all the stock
 # corpus rings are far below it.
@@ -23,17 +27,6 @@ _RING_CACHE: dict[str, "FiniteRing"] = {}
 class RingConstructionError(ValueError):
     """Rejected ring construction (bad modulus, composite p, reducible poly,
     operation tables that break a ring axiom)."""
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class FiniteRing:
@@ -212,44 +205,41 @@ class RingElement:
 # -- constructors -------------------------------------------------------------
 
 
+def _tabulate(descriptor: str, size: int, add, mul, zero: int = 0, one: int = 1,
+              **attrs) -> FiniteRing:
+    """The ring interned on ``descriptor``, tabulated from ``add`` and ``mul``.
+
+    On a cache miss both operations are read over every pair of codes, the
+    ring's axioms are checked, ``attrs`` are set on it and it is interned.
+    """
+    ring = _RING_CACHE.get(descriptor)
+    if ring is None:
+        codes = range(size)
+        ring = FiniteRing(size, tuple(tuple(add(a, b) for b in codes) for a in codes),
+                          tuple(tuple(mul(a, b) for b in codes) for a in codes),
+                          zero, one, descriptor)
+        vars(ring).update(attrs)
+        _RING_CACHE[descriptor] = ring
+    return ring
+
+
+def _prime_power(q) -> tuple[int, int] | None:
+    """``(p, k)`` with ``q == p**k``, ``p`` prime and ``k >= 1``; None otherwise."""
+    if not isinstance(q, int) or q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
 def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (``n >= 2``)."""
     if not isinstance(n, int) or n < 2:
         raise RingConstructionError(f"modulus must be an integer >= 2, got {n!r}")
-    descriptor = f"Z/{n}"
-    cached = _RING_CACHE.get(descriptor)
-    if cached is not None:
-        return cached
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
-    ring = FiniteRing(n, add, mul, 0, 1 % n, descriptor)
-    _RING_CACHE[descriptor] = ring
-    return ring
-
-
-def _poly_mod(coeffs: list[int], divisor: Sequence[int], p: int) -> list[int]:
-    """Remainder of ``coeffs`` modulo a monic ``divisor``, both ascending."""
-    out = [c % p for c in coeffs]
-    d = len(divisor) - 1
-    for i in range(len(out) - 1, d - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(d):
-                out[i - d + j] = (out[i - d + j] - c * divisor[j]) % p
-    return out[:d] if d > 0 else []
-
-
-def _monic_polys(degree: int, p: int) -> Iterable[tuple[int, ...]]:
-    def rec(i: int, acc: list[int]):
-        if i == degree:
-            yield tuple(acc) + (1,)
-            return
-        for c in range(p):
-            acc.append(c)
-            yield from rec(i + 1, acc)
-            acc.pop()
-    yield from rec(0, [])
+    return _tabulate(f"Z/{n}", n, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n)
 
 
 def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
@@ -257,11 +247,12 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
 
     ``poly`` lists coefficients in ascending degree order (length ``k + 1``,
     leading coefficient 1).  Element encodings are base-p digit strings: the
-    code of ``c0 + c1*x + ...`` is ``sum(ci * p**i)``.  Irreducibility is
-    checked by trial division against every lower-degree monic polynomial,
-    which is exhaustive and cheap at the sizes this library targets (k <= 4).
+    code of ``c0 + c1*x + ...`` is ``sum(ci * p**i)``.  ``F_p[x]/(poly)`` is
+    a field exactly when ``poly`` is irreducible (a proper factor of it is a
+    nonzero zero divisor), so the polynomial is accepted when every nonzero
+    code has a multiplicative inverse, before anything is interned.
     """
-    if not _is_prime(p):
+    if _prime_power(p) != (p, 1):
         raise RingConstructionError(f"characteristic must be prime, got {p}")
     if not isinstance(k, int) or k < 1:
         raise RingConstructionError(f"extension degree must be >= 1, got {k!r}")
@@ -271,53 +262,30 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
             f"reduction polynomial must have degree {k} ({k + 1} coefficients), got {len(poly)}")
     if poly[k] != 1:
         raise RingConstructionError("reduction polynomial must be monic")
-    for d in range(1, k):
-        for g in _monic_polys(d, p):
-            if not any(_poly_mod(list(poly), g, p)):
-                raise RingConstructionError(
-                    f"polynomial {list(poly)} is reducible over Z/{p} "
-                    f"(divisible by {list(g)})")
     size = p ** k
-    descriptor = f"GF({size}) poly=[{','.join(map(str, poly))}]"
-    cached = _RING_CACHE.get(descriptor)
-    if cached is not None:
-        return cached
+    weights = [p ** i for i in range(k)]
+    digits = [[a // w % p for w in weights] for a in range(size)]
 
-    def digits(code: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(code % p)
-            code //= p
-        return out
+    def add(a: int, b: int) -> int:
+        return sum((x + y) % p * w for x, y, w in zip(digits[a], digits[b], weights))
 
-    def code_of(cs: Sequence[int]) -> int:
-        out = 0
-        for c in reversed(cs):
-            out = out * p + c
-        return out
+    def mul(a: int, b: int) -> int:
+        conv = [0] * (2 * k - 1)
+        for i, x in enumerate(digits[a]):
+            for j, y in enumerate(digits[b]):
+                conv[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):  # x^i = x^(i-k) * (x^k - poly)
+            for j in range(k):
+                conv[i - k + j] -= conv[i] * poly[j]
+        return sum(c % p * w for c, w in zip(conv, weights))
 
-    add = tuple(
-        tuple(code_of([(x + y) % p for x, y in zip(digits(a), digits(b))])
-              for b in range(size))
-        for a in range(size))
-    mul_rows = []
-    for a in range(size):
-        da = digits(a)
-        row = []
-        for b in range(size):
-            db = digits(b)
-            conv = [0] * (2 * k - 1)
-            for i, x in enumerate(da):
-                if x:
-                    for j, y in enumerate(db):
-                        conv[i + j] += x * y
-            row.append(code_of(_poly_mod(conv, poly, p)))
-        mul_rows.append(tuple(row))
-    ring = FiniteRing(size, add, tuple(mul_rows), 0, 1, descriptor)
-    ring.char_p = p
-    ring.degree_k = k
-    _RING_CACHE[descriptor] = ring
-    return ring
+    for a in range(1, size):
+        if 1 not in (mul(a, b) for b in range(1, size)):
+            raise RingConstructionError(
+                f"polynomial {list(poly)} is reducible over Z/{p} "
+                f"(code {a} has no inverse)")
+    return _tabulate(f"GF({size}) poly=[{','.join(map(str, poly))}]", size, add, mul,
+                     char_p=p, degree_k=k)
 
 
 def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
@@ -325,38 +293,19 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     rings = tuple(rings)
     if not rings:
         raise RingConstructionError("product of an empty list of rings")
-    descriptor = f"product({', '.join(r.descriptor for r in rings)})"
-    cached = _RING_CACHE.get(descriptor)
-    if cached is not None:
-        return cached
-    strides = []
-    s = 1
-    for r in rings:
-        strides.append(s)
-        s *= r.size
-    size = s
+    strides = tuple(prod(r.size for r in rings[:i]) for i in range(len(rings)))
+    size = prod(r.size for r in rings)
+    parts = [tuple(a // s % r.size for s, r in zip(strides, rings)) for a in range(size)]
 
-    def split(code: int) -> tuple[int, ...]:
-        return tuple((code // st) % r.size for st, r in zip(strides, rings))
+    def componentwise(op):
+        return lambda a, b: sum(op(r, x, y) * s for r, x, y, s
+                                in zip(rings, parts[a], parts[b], strides))
 
-    def join(codes) -> int:
-        return sum(c * st for c, st in zip(codes, strides))
-
-    parts = [split(a) for a in range(size)]
-    add = tuple(
-        tuple(join(r.add(x, y) for r, x, y in zip(rings, parts[a], parts[b]))
-              for b in range(size))
-        for a in range(size))
-    mul = tuple(
-        tuple(join(r.mul(x, y) for r, x, y in zip(rings, parts[a], parts[b]))
-              for b in range(size))
-        for a in range(size))
-    ring = FiniteRing(size, add, mul, join(r.zero for r in rings),
-                      join(r.one for r in rings), descriptor)
-    ring.factors = rings
-    ring._strides = tuple(strides)
-    _RING_CACHE[descriptor] = ring
-    return ring
+    return _tabulate(f"product({', '.join(r.descriptor for r in rings)})", size,
+                     componentwise(FiniteRing.add), componentwise(FiniteRing.mul),
+                     sum(r.zero * s for r, s in zip(rings, strides)),
+                     sum(r.one * s for r, s in zip(rings, strides)),
+                     factors=rings, _strides=strides)
 
 
 # -- ideals -------------------------------------------------------------------

@@ -139,6 +139,38 @@ def crt_map_is_ring_isomorphism(prod_ring, n: int) -> bool:
     return True
 
 
+def poly_product(a, b, p) -> list[int]:
+    """The product of two ascending coefficient lists over Z/p, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def poly_residue_product(a, b, poly, p) -> list[int]:
+    """``a * b`` modulo the monic ``poly`` over Z/p, as ``len(poly) - 1``
+    ascending coefficients: each leading term of the product above the degree
+    of ``poly`` is cancelled by a shifted multiple of ``poly``."""
+    k = len(poly) - 1
+    out = poly_product(a, b, p)
+    out += [0] * (k - len(out))
+    while len(out) > k:
+        c = out.pop()
+        for j in range(k):
+            out[len(out) - k + j] -= c * poly[j]
+    return [c % p for c in out]
+
+
+def monic_products(p, k) -> set[tuple[int, ...]]:
+    """Every monic degree-``k`` polynomial over Z/p that is a product of two
+    monic polynomials of positive degree, as ascending coefficient tuples."""
+    return {tuple(poly_product(g + (1,), h + (1,), p))
+            for d in range(1, k)
+            for g in product(range(p), repeat=d)
+            for h in product(range(p), repeat=k - d)}
+
+
 def all_submodule_sets(module) -> list[frozenset[int]]:
     """Every submodule of ``module`` as a set of element indices, by subset scan.
 

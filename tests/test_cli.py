@@ -148,11 +148,17 @@ def test_verify_rejects_a_spec_that_admits_nothing(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("flag", ["--element-bound", "--lattice-bound"])
 def test_verify_rejects_bound_flags(capsys, flag):
-    # the corpus spec carries the bounds verify uses
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", flag, "16"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # the corpus spec carries the bounds verify uses, and only compare, radical
+    # and primes enumerate a lattice
+    argvs = [["verify", flag, "16"]]
+    if flag == "--lattice-bound":
+        argvs += [[command, str(GOLDEN / "z4_zero.instance"), "N", flag, "1"]
+                  for command in (*modradical.cli.CHECK_COMMANDS, "radical-trace")]
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- error handling ------------------------------------------------------------------

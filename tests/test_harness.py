@@ -308,6 +308,15 @@ def test_parse_corpus_spec_reports_the_line_of_a_bad_entry(line, message):
     assert "col" not in text
 
 
+@pytest.mark.parametrize("repeat", ["rings Z/2", "max_rank 1", "strategies free"])
+def test_parse_corpus_spec_rejects_a_repeated_key(repeat):
+    key = repeat.split()[0]
+    with pytest.raises(ValueError) as err:
+        parse_corpus_spec(f"rings Z/4, Z/6\nmax_rank 1\nstrategies free\n\n{repeat}\n")
+    first = {"rings": 1, "max_rank": 2, "strategies": 3}[key]
+    assert str(err.value) == f"corpus spec line 5: {key} was already given on line {first}"
+
+
 # -- the derived-value table -----------------------------------------------------
 
 

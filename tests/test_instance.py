@@ -89,6 +89,14 @@ def test_parse_gf_requires_poly_for_proper_extensions():
     assert "poly" in err.value.message
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_parse_gf_rejects_a_size_that_is_not_a_prime_power(q):
+    with pytest.raises(ParseError) as err:
+        parse_ring_descriptor(f"GF({q}) poly=[0,1]")
+    assert err.value.message == f"{q} is not a prime power"
+    assert err.value.col == 1
+
+
 def test_parse_product_descriptor():
     inst = parse_instance(
         "ring product(Z/2, Z/4)\nmodule rank=1 relations=[]\nsubmodule N gens=[(3)]")

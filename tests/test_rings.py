@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
+from modradical import rings
+from modradical.harness import DEFAULT_CORPUS_SPEC
 from modradical.instance import parse_ring_descriptor
 from modradical.rings import (
     FiniteRing,
     RingConstructionError,
     RingElement,
+    _prime_power,
     additive_closure,
     enumerate_ideals,
     ideal_generate,
@@ -89,6 +93,50 @@ def test_make_gf_rejects_composite_characteristic():
         make_gf(4, 1, [0, 1])
 
 
+@pytest.mark.parametrize("p", [0, 1, 6, 12, 2.0, "2"])
+def test_make_gf_rejects_a_characteristic_that_is_not_prime(p):
+    with pytest.raises(RingConstructionError, match="characteristic must be prime"):
+        make_gf(p, 1, [0, 1])
+
+
+def test_prime_power_matches_a_table_of_prime_powers():
+    primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+    powers = {p ** k: (p, k) for p in primes for k in range(1, 9) if p ** k < 300}
+    assert [_prime_power(q) for q in range(-2, 300)] == \
+        [powers.get(q) for q in range(-2, 300)]
+    assert _prime_power(4.0) is None and _prime_power("4") is None
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (5, 2), (7, 2)])
+def test_make_gf_tabulates_exactly_the_irreducible_polys(monkeypatch, p, k):
+    # every monic poly of degree k; with a fresh cache, the accepted ones are
+    # exactly the interned rings, so a rejected poly leaves no entry.  The
+    # oracle pins every table entry, which subsumes the (cubic) axiom check.
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    monkeypatch.setattr(rings, "AXIOM_CHECK_LIMIT", 0)
+    reducible = oracles.monic_products(p, k)
+    size = p ** k
+    digits = [[a // p ** i % p for i in range(k)] for a in range(size)]
+    code = {tuple(d): a for a, d in enumerate(digits)}.__getitem__
+    accepted = []
+    for low in product(range(p), repeat=k):
+        poly = low + (1,)
+        if poly in reducible:
+            with pytest.raises(RingConstructionError, match="is reducible"):
+                make_gf(p, k, poly)
+            continue
+        ring = make_gf(p, k, poly)
+        accepted.append(ring.descriptor)
+        for a, da in enumerate(digits):
+            assert ring._add[a] == tuple(
+                code(tuple((x + y) % p for x, y in zip(da, db))) for db in digits)
+            assert ring._mul[a] == tuple(
+                code(tuple(oracles.poly_residue_product(da, db, poly, p))) for db in digits)
+    assert list(rings._RING_CACHE) == accepted
+    assert len(accepted) == size - len(reducible)
+
+
 def test_make_gf_rejects_non_monic():
     with pytest.raises(RingConstructionError):
         make_gf(3, 2, [1, 1, 2])
@@ -131,6 +179,33 @@ def test_product_rejects_empty_list():
 def test_ring_interning_by_descriptor():
     assert make_zn(6) is make_zn(6)
     assert make_gf(2, 2, [1, 1, 1]) is make_gf(2, 2, [1, 1, 1])
+
+
+# SHA-256 of repr((descriptor, add table, mul table, zero, one)) for every
+# default-corpus ring and every ring the benchmark builds: a change in code
+# encoding fails here rather than only in the benchmark digests.
+RING_TABLE_SHA256 = {
+    "Z/2": "1a0f0ce6b3b8917f3d9271e696e653ca1d3216e497e633ba7180c5e0ce5d36a6",
+    "Z/3": "080f7fed61c9e7f47315be206625a7572950374cfd5ab6e7158184405660cbe8",
+    "Z/4": "7cda9110df3d9f8b48b21a8f1a8b2627aea1dddf43386e2a6aac3934c882ebed",
+    "Z/5": "4cb5362f7e5e90d364bff11d13a123283894730193eec0f99c0b7c11b60b1bfd",
+    "Z/6": "81e6dcb8a84bf16d4565a373da9586130ac60c115caeed13ea932593d8c9f2fe",
+    "Z/8": "c09ca18474c7c4a49d42882dcf3e532d1cf9c245cf08cd0211dd12c3194d7985",
+    "Z/9": "c955830d11d5ddf52d79380659ef314e722caae97205d946f75f9c81af93be40",
+    "Z/12": "61ac0f675e43eb685b832614395bd466dd975c640d22cba0d0fe2222dc76ce6d",
+    "GF(4) poly=[1,1,1]": "5410b0fadfb9f7976e4ea2d7f0785170d656df618e39d02ee77a754aa946a3e7",
+    "product(Z/2, Z/4)": "93705bfd9ba3aca4739600bd6196f4ad03f5138de4629f02f2a6a36708839438",
+    "Z/16": "51a8c77a9594272c047bddf19508fa12d10036d287490687768bdbc323d84a3c",
+    "product(Z/2, Z/8)": "41c95a4475245f1061f63d985dba41c78d6aa776b4423ecce53c03c2ba9f77fb",
+}
+
+
+def test_ring_tables_are_pinned():
+    assert set(DEFAULT_CORPUS_SPEC.rings) <= set(RING_TABLE_SHA256)
+    for descriptor, digest in RING_TABLE_SHA256.items():
+        r = parse_ring_descriptor(descriptor)
+        table = repr((r.descriptor, r._add, r._mul, r.zero, r.one)).encode()
+        assert hashlib.sha256(table).hexdigest() == digest, descriptor
 
 
 def test_ring_element_operators():
