@@ -31,6 +31,8 @@ from .modules import (
     BoundExceededError,
     DEFAULT_ELEMENT_BOUND,
     DEFAULT_LATTICE_BOUND,
+    ModulePresentation,
+    Submodule,
 )
 from .predicates import (
     NotionRow,
@@ -71,6 +73,27 @@ def _named_submodule(inst: InstanceFile, name: str):
     return sub
 
 
+class _Texts(dict):
+    """``texts[i]`` is the text of the element at index ``i`` of one module,
+    formatted on its first use, so a listing that repeats an element formats
+    it once and nothing unprinted is formatted."""
+
+    def __init__(self, module: ModulePresentation):
+        super().__init__()
+        self.elements = module.elements
+
+    def __missing__(self, i: int) -> str:
+        self[i] = text = format_vec(self.elements[i])
+        return text
+
+    def listing(self, indices) -> str:
+        """``format_vec_list`` of the elements at ``indices``, in that order."""
+        return "[" + ",".join(map(self.__getitem__, indices)) + "]"
+
+    def members(self, N: Submodule) -> str:
+        return self.listing(sorted(N.member_indices))
+
+
 def _witness_data(verdict: Verdict) -> dict | str:
     w = verdict.witness
     if w is None:
@@ -105,9 +128,9 @@ def _run_check(inst: InstanceFile, command: str, flags: argparse.Namespace) -> d
     }
 
 
-def _row_data(row: NotionRow) -> dict:
+def _row_data(row: NotionRow, texts: _Texts) -> dict:
     data = {
-        "members": format_vec_list(row.submodule.members),
+        "members": texts.members(row.submodule),
         "prime": row.prime,
         "semiprime": row.semiprime,
         "dauns": row.dauns,
@@ -120,10 +143,11 @@ def _row_data(row: NotionRow) -> dict:
 
 def _run_compare(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     rows = compare_notions(inst.module, flags.lattice_bound)
+    texts = _Texts(inst.module)
     return {
         "command": "compare",
         **_context(inst),
-        "rows": [_row_data(r) for r in rows],
+        "rows": [_row_data(r, texts) for r in rows],
         "contradictions": sum("CONTRADICTS-THEOREM" in r.flags for r in rows),
         # squares condition <=> semiprime over finite rings (PROP-COLON-SEMIPRIME)
         "separations": 0,
@@ -137,15 +161,16 @@ def _run_radical(inst: InstanceFile, flags: argparse.Namespace) -> tuple[dict, i
     smallest = smallest_semiprime_over(N, flags.lattice_bound)
     agree = (by_primes.member_indices == by_iteration.member_indices
              == smallest.member_indices)
+    texts = _Texts(inst.module)
     data = {
         "command": "radical",
         **_context(inst),
         "name": flags.name,
-        "members": format_vec_list(by_primes.members),
+        "members": texts.members(by_primes),
         "methods": {
-            "primes": format_vec_list(by_primes.members),
-            "iteration": format_vec_list(by_iteration.members),
-            "smallest_semiprime": format_vec_list(smallest.members),
+            "primes": texts.members(by_primes),
+            "iteration": texts.members(by_iteration),
+            "smallest_semiprime": texts.members(smallest),
         },
         "agree": agree,
     }
@@ -155,8 +180,10 @@ def _run_radical(inst: InstanceFile, flags: argparse.Namespace) -> tuple[dict, i
 def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     N = _named_submodule(inst, flags.name)
     _, trace = radical_by_iteration(N)
+    texts = _Texts(inst.module)
     steps = []
     products: dict[int, str] = {}   # witnesses share product tuples; format each once
+    prev = N
     for step in trace.steps:
         witnesses = []
         for w in step.witnesses:
@@ -168,33 +195,36 @@ def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
                 "colon": "[" + ",".join(map(str, w.colon_members)) + "]",
                 "product": product,
             })
+        members = step.submodule.member_indices
         steps.append({
             "index": step.index,
-            "members": format_vec_list(step.submodule.members),
-            "new": format_vec_list(step.new_members),
+            "members": texts.listing(sorted(members)),
+            "new": texts.listing(sorted(members - prev.member_indices)),
             "witnesses": witnesses if witnesses else "none",
         })
+        prev = step.submodule
     return {
         "command": "radical-trace",
         **_context(inst),
         "name": flags.name,
-        "start": format_vec_list(N.members),
+        "start": texts.members(N),
         "steps": steps,
         "fixpoint": {
             "index": trace.fixpoint_index,
-            "members": format_vec_list(trace.fixpoint.members),
+            "members": texts.members(trace.fixpoint),
         },
     }
 
 
 def _run_primes(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     primes = prime_submodules(inst.module, flags.lattice_bound)
+    texts = _Texts(inst.module)
     return {
         "command": "primes",
         **_context(inst),
         "count": len(primes),
-        "primes": [{"members": format_vec_list(P.members),
-                    "generators": format_vec_list(P.generators)} for P in primes],
+        "primes": [{"members": texts.members(P),
+                    "generators": texts.listing(P.generator_indices)} for P in primes],
     }
 
 
@@ -338,6 +368,17 @@ def _yn(b: bool) -> str:
 # -- argparse wiring -----------------------------------------------------------------
 
 
+def _at_least(least: int):
+    """An argparse type: an int no smaller than ``least``, as in a corpus spec."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its message for a non-integer
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modradical",
@@ -352,10 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
         if with_file:  # verify takes its bounds from the corpus spec
-            p.add_argument("--element-bound", type=int, default=DEFAULT_ELEMENT_BOUND,
+            p.add_argument("--element-bound", type=_at_least(1), default=DEFAULT_ELEMENT_BOUND,
                            help="max ambient vectors enumerated per module")
         if with_lattice:  # only these commands enumerate a submodule lattice
-            p.add_argument("--lattice-bound", type=int, default=DEFAULT_LATTICE_BOUND,
+            p.add_argument("--lattice-bound", type=_at_least(0), default=DEFAULT_LATTICE_BOUND,
                            help="max module size for submodule-lattice enumeration")
 
     for cmd in CHECK_COMMANDS:

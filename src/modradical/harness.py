@@ -29,6 +29,7 @@ from .modules import (
     ModulePresentation,
     Submodule,
     colon_ideal,
+    colon_sets,
     enumerate_submodules,
     intersect,
     presented_module,
@@ -44,7 +45,6 @@ from .predicates import (
     is_semiprime_submodule,
 )
 from .radical import (
-    first_radical,
     prime_submodules,
     radical_by_iteration,
     radical_by_primes,
@@ -213,7 +213,10 @@ def _check_colon_semiprime(module, subs, *_):
     (e_i N in factor i, e_k M in every other), which contains P*M for the
     maximal ideal P (p_i in factor i, R_k in every other) and so is prime.
     N is the intersection of these N_i (or N = M), so it is radical and
-    hence semiprime.  The literal colon-ideal scan runs on semiprime N.
+    hence semiprime.  On semiprime N the colons are read column-wise by
+    ``colon_sets``, and each distinct one is rebuilt by the literal
+    ``colon_ideal`` at its first element, checked against the column and
+    checked semiprime; a failure names that first element.
     """
     N = subs["N"]
     semiprime = is_semiprime_submodule(N).holds
@@ -221,8 +224,16 @@ def _check_colon_semiprime(module, subs, *_):
         return ("semiprime submodule fails the squares condition" if semiprime
                 else "squares condition holds but the submodule is not semiprime")
     if semiprime:
-        for i in range(module.element_count):
-            if not is_semiprime_ideal(colon_ideal(N, i)):
+        checked: set[frozenset[int]] = set()
+        for i, colon in enumerate(colon_sets(N)):
+            if colon in checked:
+                continue
+            checked.add(colon)
+            ideal = colon_ideal(N, i)
+            if ideal.members != colon:
+                return (f"colon ideal at {format_vec(module.elements[i])} is "
+                        f"{sorted(ideal.members)} but its column reads {sorted(colon)}")
+            if not is_semiprime_ideal(ideal):
                 return f"colon ideal at {format_vec(module.elements[i])} is not semiprime"
     return None
 
@@ -264,7 +275,7 @@ def _check_iteration(module, subs, lattice_bound, *_):
             return ("iterated radical differs from the intersection of primes: "
                     f"{format_vec_list(fixpoint.members)} vs "
                     f"{format_vec_list(by_primes.members)}")
-        fr = first_radical(N)
+        fr = trace.steps[0].submodule
         for P in prime_submodules(module, lattice_bound):
             if N.issubset(P) and not fr.issubset(P):
                 return ("one-step radical escapes the prime "
@@ -298,17 +309,20 @@ def _check_quotient(module, subs, lattice_bound, available):
     else:
         above = [N for N in available if mp.issubset(N)]
         quotient_lattice = []
+    sp_above = set()   # images of the semiprime N above the kernel
     for N in above:
         image = q.forward_submodule(N)
-        if is_semiprime_submodule(N).holds != is_semiprime_submodule(image).holds:
+        semiprime = is_semiprime_submodule(N).holds
+        if semiprime != is_semiprime_submodule(image).holds:
             return (f"semiprimeness not preserved for {format_vec_list(N.members)} "
                     "under the quotient map")
         back = q.backward_submodule(image)
         if back.member_indices != N.member_indices:
             return f"backward(forward(N)) != N for {format_vec_list(N.members)}"
+        if semiprime:
+            sp_above.add(image.member_indices)
     if lattice_ok:
         sp_list = [N for N in above if is_semiprime_submodule(N).holds]
-        sp_above = {q.forward_submodule(N).member_indices for N in sp_list}
         sp_quotient = {N.member_indices for N in quotient_lattice
                        if is_semiprime_submodule(N).holds}
         if len(sp_list) != len(sp_quotient) or sp_above != sp_quotient:

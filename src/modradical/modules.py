@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product as _cartesian
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .rings import (
     FiniteRing,
@@ -244,6 +244,8 @@ class ModulePresentation:
     # -- value semantics --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if self is other:   # the common case: one interned module
+            return True
         if not isinstance(other, ModulePresentation):
             return NotImplemented
         return (self.ring == other.ring and self.rank == other.rank
@@ -431,13 +433,19 @@ def submodule_generate(M: ModulePresentation, gens) -> Submodule:
 
 
 def _generate_from_indices(M: ModulePresentation, gen_indices) -> Submodule:
+    members = _grow(M, {M.zero_index}, gen_indices)
+    return Submodule(M, frozenset(members), tuple(gen_indices))
+
+
+def _grow(M: ModulePresentation, members, gen_indices):
+    """Member indices of the submodule generated by the submodule ``members``
+    and the elements at ``gen_indices``."""
     # the set is a submodule after each generator, so one already inside adds nothing
-    members = {M.zero_index}
     for i in gen_indices:
         if i not in members:
             members = additive_closure(
                 members, [M.scale_i(r, i) for r in range(M.ring.size)], M.add_row)
-    return Submodule(M, frozenset(members), tuple(gen_indices))
+    return members
 
 
 def contains(N: Submodule, m) -> bool:
@@ -449,10 +457,28 @@ def contains(N: Submodule, m) -> bool:
 
 
 def colon_codes(N: Submodule, m_index: int, rows: list[list[int]]) -> frozenset[int]:
-    """Member codes of the colon ideal (N : m) = {r : r*m in N}; ``rows`` is
-    ``scaled_rows(N.module)``, read once by scans over many elements."""
+    """Member codes of the colon ideal (N : m) = {r : r*m in N} for one element;
+    ``rows`` is ``scaled_rows(N.module)``.  Scans use :func:`colon_sets`."""
     ms = N.member_indices
     return frozenset(r for r, row in enumerate(rows) if row[m_index] in ms)
+
+
+def colon_sets(N: Submodule) -> Iterator[frozenset[int]]:
+    """Member codes of (N : m) for every element m, lazily, in index order.
+
+    The scaled rows are read one column at a time: column m says, for each
+    ring code r, whether r*m lies in N.  Elements with equal columns share
+    one frozenset, so a scan can key its per-colon work on it.
+    """
+    ms = N.member_indices
+    rows = scaled_rows(N.module)
+    codes = range(len(rows))
+    seen: dict[tuple, frozenset[int]] = {}
+    for column in zip(*[map(ms.__contains__, row) for row in rows]):
+        colon = seen.get(column)
+        if colon is None:
+            colon = seen[column] = frozenset(compress(codes, column))
+        yield colon
 
 
 def scaled_rows(M: ModulePresentation) -> list[list[int]]:
@@ -564,8 +590,9 @@ class Quotient:
         """Image of a submodule of M (its coset set) in M/M'."""
         if N.module != self.source:
             raise ValueError("submodule of a different module")
-        members = frozenset(self.forward_row[i] for i in N.member_indices)
-        gens = tuple(dict.fromkeys(self.forward_row[i] for i in N.generator_indices))
+        image = self.forward_row.__getitem__
+        members = frozenset(map(image, N.member_indices))
+        gens = tuple(dict.fromkeys(map(image, N.generator_indices)))
         return Submodule(self.module, members, gens)
 
     def backward_submodule(self, Nq: Submodule) -> Submodule:

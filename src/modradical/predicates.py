@@ -22,6 +22,7 @@ from .modules import (
     ModulePresentation,
     Submodule,
     colon_codes,
+    colon_sets,
     enumerate_submodules,
     scaled_rows,
 )
@@ -135,18 +136,20 @@ def _qualifiers(N: Submodule) -> Iterator[tuple[int, PredicateWitness]]:
     """Yield (index, semiprime witness) for each m outside N with m in (N:m)M.
 
     Elements of N always qualify and never violate, so they are skipped.
-    Items come in index order; qualifiers with equal (N:m)M share one
-    ``product_members`` tuple.
+    Items come in index order.  The colons come from ``colon_sets`` and
+    (N:m)M is computed once per distinct colon; qualifiers with equal (N:m)M
+    share one ``product_members`` tuple.
     """
     M = N.module
     ms = N.member_indices
-    rows = scaled_rows(M)
-    products: dict[frozenset[int], tuple] = {}
-    for mi in range(M.element_count):
+    actions: dict[frozenset[int], frozenset[int]] = {}   # (N:m) -> (N:m)M
+    products: dict[frozenset[int], tuple] = {}           # (N:m)M -> its representatives
+    for mi, colon in enumerate(colon_sets(N)):
         if mi in ms:
             continue
-        colon = colon_codes(N, mi, rows)
-        product = M.ideal_action(colon)
+        product = actions.get(colon)
+        if product is None:
+            product = actions[colon] = M.ideal_action(colon)
         if mi in product:
             members = products.get(product)
             if members is None:

@@ -21,11 +21,12 @@ from .modules import (
     enumerate_submodules,
     full_submodule,
     intersect,
-    _generate_from_indices,
+    _grow,
 )
 from .predicates import (
     PredicateWitness,
     _qualifiers,
+    _semiprime_verdict,
     is_prime_submodule,
     is_semiprime_submodule,
 )
@@ -64,10 +65,19 @@ def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[PredicateWitness,
 
     Elements of N always qualify (their colon ideal is the whole ring), so
     the chain can only grow.  The witnesses are the semiprime witnesses of
-    N, one per qualifying element outside N, in index order.
+    N, one per qualifying element outside N, in index order.  A member set
+    with a cached true semiprime verdict has no such element and is its own
+    step; otherwise the closure grows N, already a submodule, by the
+    qualifiers.  Either way the generators are ``sorted(N ∪ qualifiers)``.
     """
+    M = N.module
+    ms = N.member_indices
+    known = M.derived.get((_semiprime_verdict, ms))
+    if known is not None and known.holds:
+        return Submodule(M, ms, tuple(sorted(ms))), ()
     qualifying = dict(_qualifiers(N))
-    step = _generate_from_indices(N.module, sorted(N.member_indices.union(qualifying)))
+    step = Submodule(M, frozenset(_grow(M, ms, qualifying)),
+                     tuple(sorted(ms.union(qualifying))))
     return step, tuple(qualifying.values())
 
 

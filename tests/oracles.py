@@ -256,6 +256,15 @@ def semiprime_sets_by_definition(module) -> list[frozenset[int]]:
     return out
 
 
+def colon_by_vectors(arith, member_reps, m) -> frozenset[int]:
+    """(N : m) = {r : r*m in N}, with each r*m multiplied out as a vector and
+    reduced by ``arith`` (a :class:`CosetArithmetic`); N is given by its set of
+    member representatives and m by its representative."""
+    ring = arith.ring
+    return frozenset(r for r in range(ring.size)
+                     if arith.reduce(tuple(ring.mul(r, c) for c in m)) in member_reps)
+
+
 class CosetArithmetic:
     """R^rank modulo the span of ``relations``, on tuples only.
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 import modradical.cli
+import modradical.instance
 from modradical import radical
 from modradical.cli import main
 from modradical.instance import parse_instance
@@ -159,6 +161,54 @@ def test_verify_rejects_bound_flags(capsys, flag):
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "N", "--lattice-bound", "-3"],
+    ["compare", "--lattice-bound", "-1"],
+    ["primes", "--lattice-bound", "-1"],
+    ["radical", "N", "--element-bound", "0"],
+    ["check-semiprime", "N", "--element-bound", "-4"],
+    ["radical-trace", "N", "--element-bound", "0"],
+], ids=" ".join)
+def test_bound_flags_reject_values_that_cannot_work(capsys, argv):
+    # the ranges of the corpus spec: element_bound >= 1, lattice_bound >= 0
+    argv = [argv[0], str(GOLDEN / "z4_zero.instance"), *argv[1:]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    least = 0 if "--lattice-bound" in argv else 1
+    assert f"must be at least {least}, got {argv[-1]}" in capsys.readouterr().err
+
+
+def test_bound_flags_accept_their_least_values(capsys):
+    instance = str(GOLDEN / "z4_zero.instance")
+    code, _, err = run_cli(capsys, "radical", instance, "N", "--lattice-bound", "0")
+    assert code == 2 and "the bound is 0; raise it with --lattice-bound" in err
+    code, _, err = run_cli(capsys, "radical", instance, "N", "--element-bound", "1")
+    assert code == 2 and "the bound is 1; raise it with --element-bound" in err
+
+
+@pytest.mark.parametrize("command", ["primes", "compare", "radical", "radical-trace"])
+def test_listings_format_each_element_once(monkeypatch, capsys, command):
+    argv = [command, str(GOLDEN / "z4sq_torsion.instance"),
+            *(["N"] if command.startswith("radical") else []), "--format", "structured"]
+    expected = run_cli(capsys, *argv)
+    formatted = []
+    fmt = modradical.instance.format_vec
+    for owner in (modradical.cli, modradical.instance):
+        monkeypatch.setattr(owner, "format_vec", lambda vec: formatted.append(vec) or fmt(vec))
+    assert run_cli(capsys, *argv) == expected
+    # member listings format each element once; a witness formats its element
+    # and each distinct product list once
+    lines = expected[1].splitlines()
+    vecs = re.compile(r"\([0-9,]*\)")
+    listed = {v for line in lines if ".m = " not in line and ".product = " not in line
+              for v in vecs.findall(line)}
+    witnesses = sum(".m = " in line for line in lines)
+    products = {line.split(" = ")[1] for line in lines if ".product = " in line}
+    assert listed and len(formatted) == (
+        len(listed) + witnesses + sum(len(vecs.findall(p)) for p in products))
 
 
 # -- error handling ------------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from modradical import harness, modules
+from modradical import harness, modules, predicates, radical, rings
 from modradical.cli import verify_report_data
 from modradical.harness import (
     CLAIM_IDS,
@@ -14,6 +14,7 @@ from modradical.harness import (
     parse_corpus_spec,
     verify_all,
 )
+from modradical.instance import format_vec
 from modradical.modules import submodule_generate
 from modradical.predicates import Verdict, _semiprime_verdict, is_semiprime_submodule
 from modradical.report import render_structured
@@ -230,6 +231,71 @@ def test_colon_semiprime_certifies_both_directions(monkeypatch, squares, failed)
     tally = {c.claim_id: c for c in report.claims}["PROP-COLON-SEMIPRIME"]
     assert (tally.checked, tally.failed) == (3, failed)
     assert all(f.replay() for f in tally.findings)
+
+
+def test_colon_semiprime_names_the_first_element_of_a_rejected_colon(monkeypatch):
+    # each distinct colon is checked once, at its first element; rejecting the
+    # maximal ideal (2) of Z/4 must still name the first element with that colon
+    rejected = frozenset({0, 2})
+    monkeypatch.setattr(harness, "is_semiprime_ideal",
+                        lambda I: I.members != rejected and rings.is_semiprime_ideal(I))
+    spec = spec_of(rings=("Z/4",), relation_strategies=("free",))
+    report = verify_all(spec)
+    tally = {c.claim_id: c for c in report.claims}["PROP-COLON-SEMIPRIME"]
+    expected = []   # every semiprime N with that colon somewhere fails, and no other
+    for inst in expand_corpus(spec):
+        M = inst.module
+        rows = modules.scaled_rows(M)
+        for N in inst.submodules:
+            hits = [i for i in range(M.element_count)
+                    if modules.colon_codes(N, i, rows) == rejected]
+            if hits and is_semiprime_submodule(N).holds:
+                expected.append(f"colon ideal at {format_vec(M.elements[hits[0]])} "
+                                "is not semiprime")
+    assert expected and [f.detail for f in tally.findings] == expected
+    assert all(f.replay() for f in tally.findings)
+
+
+def test_colon_semiprime_reports_a_column_that_disagrees_with_colon_ideal(monkeypatch):
+    # a column read that is not the literal colon ideal is a finding, even
+    # when it is a new set that no other element shares
+    colon_sets = modules.colon_sets
+
+    def misread(N):
+        for i, colon in enumerate(colon_sets(N)):
+            yield colon | {N.module.ring.size} if i == 1 else colon
+
+    monkeypatch.setattr(harness, "colon_sets", misread)
+    report = verify_all(spec_of(rings=("Z/4",), max_rank=1, relation_strategies=("free",)))
+    tally = {c.claim_id: c for c in report.claims}["PROP-COLON-SEMIPRIME"]
+    # (2) and Z/4 are the semiprime submodules of Z/4
+    assert (tally.checked, tally.failed) == (3, 2)
+    assert [f.detail for f in tally.findings] == [
+        "colon ideal at (1) is [0, 2] but its column reads [0, 2, 4]",
+        "colon ideal at (1) is [0, 1, 2, 3] but its column reads [0, 1, 2, 3, 4]",
+    ]
+
+
+def test_colon_scans_make_pinned_numbers_of_calls(monkeypatch):
+    # one column-wise read per scan: colon_codes runs only inside colon_ideal
+    # and witness replays, colon_ideal once per distinct colon of a semiprime
+    # N, and the iteration runs each chain step once
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    calls = {}
+    for fn in (modules.colon_codes, modules.colon_ideal, radical.first_radical_step):
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in (modules, predicates, radical, harness):
+            for name, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, name, counted)
+    report = verify_all(spec_of(rings=("Z/4", "Z/6")))
+    assert report.ok and (report.instances, report.submodules) == (37, 226)
+    assert calls == {"colon_codes": 528, "colon_ideal": 491, "first_radical_step": 252}
 
 
 # -- finding replay ------------------------------------------------------------------

@@ -429,3 +429,32 @@ def test_rank_zero_module_fully_supported(z4):
     N = zero_submodule(M)
     assert colon_ideal(N, ()).members == frozenset(range(4))
     assert not N.is_proper
+
+
+# -- the column-wise colon kernel -------------------------------------------------------
+
+
+COLON_MODULES = [
+    pytest.param(lambda: make_zn(4), 2, [], id="z4-rank2"),
+    pytest.param(lambda: make_zn(6), 2, [(2, 4)], id="z6-rank2-mod-24"),
+    pytest.param(lambda: make_product([make_zn(2), make_zn(4)]), 2, [], id="z2z4-rank2"),
+    pytest.param(lambda: make_gf(2, 2, [1, 1, 1]), 2, [], id="gf4-rank2"),
+    pytest.param(lambda: make_zn(4), 0, [], id="z4-rank0"),
+]
+
+
+@pytest.mark.parametrize("make_ring, rank, relations", COLON_MODULES)
+def test_colon_sets_match_per_element_colons_and_vector_oracle(make_ring, rank, relations):
+    ring = make_ring()
+    M = presented_module(ring, rank, relations)
+    arith = oracles.CosetArithmetic(ring, rank, relations)
+    assert list(M.elements) == arith.elements
+    rows = modules.scaled_rows(M)
+    for N in enumerate_submodules(M):
+        colons = list(modules.colon_sets(N))
+        assert colons == [modules.colon_codes(N, i, rows) for i in range(M.element_count)]
+        reps = set(N.members)
+        assert colons == [oracles.colon_by_vectors(arith, reps, m) for m in M.elements]
+        # equal columns share one frozenset
+        assert len({id(c) for c in colons}) == len(set(colons))
+

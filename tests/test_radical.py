@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from modradical import modules, predicates, radical
 from modradical.modules import (
     BoundExceededError,
+    ModulePresentation,
     enumerate_submodules,
     free_module,
     full_submodule,
@@ -20,6 +22,7 @@ from modradical.modules import (
 from modradical.predicates import is_semiprime_submodule
 from modradical.radical import (
     first_radical,
+    first_radical_step,
     prime_submodules,
     radical_by_iteration,
     radical_by_primes,
@@ -118,6 +121,40 @@ def test_first_radical_qualifiers_recorded(z4_plane):
     assert [w.m for w in witnesses] == [(0, 2), (2, 2)]
     for w in witnesses:
         assert w.submodule == N and w.replays()
+
+
+def test_first_radical_step_matches_generation_from_a_full_scan(monkeypatch):
+    scans = []
+
+    def counted(N):
+        scans.append(N.member_indices)
+        return predicates._qualifiers(N)
+
+    monkeypatch.setattr(radical, "_qualifiers", counted)
+    for factory in SMALL_MODULES + [lambda: free_module(make_gf(2, 2, [1, 1, 1]), 2),
+                                    lambda: presented_module(make_zn(6), 2, [(2, 4)]),
+                                    lambda: free_module(make_zn(4), 0)]:
+        # built directly from its relation submodule: not interned, so every
+        # semiprime verdict starts cold
+        interned = factory()
+        ring, rank = interned.ring, interned.rank
+        M = ModulePresentation(ring, rank, modules._relation_span(
+            ring, rank, interned.relation_members))
+        for N in enumerate_submodules(M):
+            qualifying = dict(predicates._qualifiers(N))
+            expected = modules._generate_from_indices(
+                M, sorted(N.member_indices.union(qualifying)))
+            assert M.derived.get((predicates._semiprime_verdict, N.member_indices)) is None
+            cold = first_radical_step(N)
+            semiprime = is_semiprime_submodule(N).holds
+            warm = first_radical_step(N)
+            for step, witnesses in (cold, warm):
+                assert step.member_indices == expected.member_indices
+                assert step.generator_indices == expected.generator_indices
+                assert witnesses == tuple(qualifying.values())
+            # a member set known to be semiprime is its own step, with no scan
+            assert scans == [N.member_indices] * (1 if semiprime else 2)
+            scans.clear()
 
 
 # -- iteration --------------------------------------------------------------------
