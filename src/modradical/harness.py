@@ -74,7 +74,8 @@ class CorpusSpec:
     get their full submodule lattice, larger ones a seeded random sample.
 
     A second bound is fixed: ranks with ``|R|^rank > DEFAULT_ELEMENT_BOUND``
-    are skipped before any module is built, whatever ``element_bound`` says.
+    are skipped before any module is built, whatever ``element_bound`` says;
+    the expansion stops at the first of them.
     """
 
     rings: tuple[str, ...]
@@ -113,7 +114,7 @@ def expand_corpus(spec: CorpusSpec) -> list[Instance]:
         ring = parse_ring_descriptor(desc)
         for rank in range(1, spec.max_rank + 1):
             if ring.size ** rank > DEFAULT_ELEMENT_BOUND:
-                continue
+                break   # and so is every larger rank
             for strategy in ("free", "cyclic", "random"):
                 if strategy not in spec.relation_strategies:
                     continue
@@ -299,39 +300,36 @@ def _check_radical_eq(module, subs, lattice_bound, *_):
 
 
 def _check_quotient(module, subs, lattice_bound, available):
+    """The semiprime N above M' correspond to the semiprime Nq of M/M'.
+
+    One walk over A, the N above M' (in the lattice, else among the selected
+    submodules), checks that N and f(N) agree on semiprimeness and that
+    b(f(N)) = N, for the forward and backward maps f and b.  With the lattice
+    enumerated, the images must then be exactly Q, the quotient's lattice.
+    So f is injective on A and onto Q, a bijection A -> Q; b is its inverse,
+    as each Nq = f(N) has f(b(Nq)) = f(N) = Nq; and f preserves
+    semiprimeness, so it maps the semiprime N onto the semiprime Nq.
+    """
     mp = subs["MP"]
     q = quotient_module(module, mp)
-    lattice_ok = lattice_bound is not None
-    if lattice_ok:
-        above = [N for N in enumerate_submodules(module, lattice_bound)
-                 if mp.issubset(N)]
-        quotient_lattice = enumerate_submodules(q.module, lattice_bound)
-    else:
-        above = [N for N in available if mp.issubset(N)]
-        quotient_lattice = []
-    sp_above = set()   # images of the semiprime N above the kernel
-    for N in above:
+    candidates = (available if lattice_bound is None
+                  else enumerate_submodules(module, lattice_bound))
+    images = set()
+    for N in candidates:
+        if not mp.issubset(N):
+            continue
         image = q.forward_submodule(N)
-        semiprime = is_semiprime_submodule(N).holds
-        if semiprime != is_semiprime_submodule(image).holds:
+        if is_semiprime_submodule(N).holds != is_semiprime_submodule(image).holds:
             return (f"semiprimeness not preserved for {format_vec_list(N.members)} "
                     "under the quotient map")
-        back = q.backward_submodule(image)
-        if back.member_indices != N.member_indices:
+        if q.backward_submodule(image).member_indices != N.member_indices:
             return f"backward(forward(N)) != N for {format_vec_list(N.members)}"
-        if semiprime:
-            sp_above.add(image.member_indices)
-    if lattice_ok:
-        sp_list = [N for N in above if is_semiprime_submodule(N).holds]
-        sp_quotient = {N.member_indices for N in quotient_lattice
-                       if is_semiprime_submodule(N).holds}
-        if len(sp_list) != len(sp_quotient) or sp_above != sp_quotient:
-            return ("semiprime submodules above the kernel do not biject onto "
-                    f"the quotient's: {len(sp_list)} vs {len(sp_quotient)}")
-        for Nq in quotient_lattice:
-            fwd = q.forward_submodule(q.backward_submodule(Nq))
-            if fwd.member_indices != Nq.member_indices:
-                return "forward(backward(Nq)) != Nq in the quotient"
+        images.add(image.member_indices)
+    if lattice_bound is not None:
+        lattice = {Nq.member_indices for Nq in enumerate_submodules(q.module, lattice_bound)}
+        if images != lattice:
+            return ("submodules above the kernel do not map onto the quotient's: "
+                    f"{len(images)} images vs {len(lattice)}")
     return None
 
 

@@ -51,9 +51,10 @@ def _shared_codes(n: int) -> list[int]:
 
 
 class BoundExceededError(RuntimeError):
-    """A requested enumeration is larger than the configured bound."""
+    """A requested enumeration is larger than the configured bound; ``needed``
+    is a count, or a power's text when the count was not built."""
 
-    def __init__(self, what: str, needed: int, bound: int, flag: str):
+    def __init__(self, what: str, needed: int | str, bound: int, flag: str):
         super().__init__(
             f"{what} needs {needed} elements but the bound is {bound}; "
             f"raise it with {flag}")
@@ -394,11 +395,12 @@ def presented_module(ring: FiniteRing, rank: int, relations=(),
     interned on (ring, rank, K) and built from K on a miss, so equal
     presentations share element tables and ``derived`` tables.
     """
-    ambient = ring.size ** rank
-    if ambient > element_bound:
-        raise BoundExceededError(
-            f"enumerating {ring.descriptor}^{rank}", ambient, element_bound,
-            "--element-bound")
+    # |R| >= 2, so a rank of the bound's bit length or more is past the bound
+    ambient = ring.size ** rank if rank < element_bound.bit_length() else None
+    if ambient is None or ambient > element_bound:
+        raise BoundExceededError(f"enumerating {ring.descriptor}^{rank}",
+                                 ambient or f"{ring.size}^{rank}", element_bound,
+                                 "--element-bound")
     return _interned(ring, rank, _relation_span(ring, rank, relations))
 
 

@@ -89,8 +89,10 @@ def first_radical(N: Submodule) -> Submodule:
 def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
     """Iterate the single-step radical until the member set stabilizes.
 
-    Returns the fixpoint and the trace; the fixpoint is checked to be
-    semiprime, which is what makes it the radical.
+    Returns the fixpoint and the trace.  The loop stops at the first step
+    that adds nothing, whose start has no qualifier outside it; that empty
+    scan (or a cached true verdict) is the semiprime verdict, so the
+    fixpoint is semiprime, which is what makes it the radical.
     """
     M = N.module
     steps = []
@@ -109,11 +111,7 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
         current = nxt
     if index > max(M.element_count, 1):
         raise AssertionError(f"radical chain took {index} steps in {M.element_count} elements")
-    fixpoint = steps[-1].submodule
-    if not is_semiprime_submodule(fixpoint).holds:
-        raise AssertionError(
-            f"iteration fixpoint {sorted(fixpoint.member_indices)} is not semiprime")
-    return fixpoint, RadicalTrace(start=N, steps=tuple(steps), fixpoint_index=index)
+    return steps[-1].submodule, RadicalTrace(start=N, steps=tuple(steps), fixpoint_index=index)
 
 
 def prime_submodules(M: ModulePresentation,

@@ -253,6 +253,13 @@ def test_element_bound_exceeded_names_flag(tmp_path, capsys):
                            "--element-bound", "100")
     assert code == 2
     assert "--element-bound" in err
+    # a power past the bound is never built, so it cannot overflow the message
+    inst.write_text("ring Z/2\nmodule rank=20000 relations=[]\nsubmodule N gens=[]\n",
+                    encoding="utf-8")
+    code, _, err = run_cli(capsys, "radical", str(inst), "N")
+    assert code == 2
+    assert err == ("error: enumerating Z/2^20000 needs 2^20000 elements but the bound "
+                   "is 65536; raise it with --element-bound\n")
 
 
 def test_check_cimpric_rejects_non_free_instance(tmp_path, capsys):

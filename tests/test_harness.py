@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modradical import harness, modules, predicates, radical, rings
@@ -15,7 +21,7 @@ from modradical.harness import (
     verify_all,
 )
 from modradical.instance import format_vec
-from modradical.modules import submodule_generate
+from modradical.modules import presented_module, submodule_generate
 from modradical.predicates import Verdict, _semiprime_verdict, is_semiprime_submodule
 from modradical.report import render_structured
 
@@ -84,6 +90,25 @@ def test_expand_skips_ranks_past_the_default_element_bound():
                                    relation_strategies=("free",),
                                    element_bound=10 ** 6, submodule_samples=1))
     assert [inst.module.rank for inst in corpus] == [1]
+
+
+def test_expand_stops_at_the_first_rank_past_the_default_element_bound():
+    # |R|^rank only grows, so ranks past the first one over the bound admit
+    # nothing and are not visited; in a subprocess, so a loop over every rank
+    # up to max_rank times out instead of hanging the suite
+    code = ("from modradical.harness import CorpusSpec, expand_corpus\n"
+            "for max_rank in (16, 10 ** 6):\n"
+            "    spec = CorpusSpec(rings=('Z/2', 'Z/3'), max_rank=max_rank,\n"
+            "                      relation_strategies=('free',))\n"
+            "    print([inst.instance_id for inst in expand_corpus(spec)])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    few, many = done.stdout.splitlines()
+    assert few == many and "Z/3 rank=3 relations=[]" in few
 
 
 def test_each_distinct_presentation_is_constructed_once(monkeypatch):
@@ -296,6 +321,115 @@ def test_colon_scans_make_pinned_numbers_of_calls(monkeypatch):
     report = verify_all(spec_of(rings=("Z/4", "Z/6")))
     assert report.ok and (report.instances, report.submodules) == (37, 226)
     assert calls == {"colon_codes": 528, "colon_ideal": 491, "first_radical_step": 252}
+
+
+# -- quotient correspondence ---------------------------------------------------------
+
+
+def quotient_tally(spec):
+    report = verify_all(spec)
+    others = [c for c in report.claims if c.claim_id != "PROP-QUOTIENT-CORRESPONDENCE"]
+    assert all(c.failed == 0 for c in others)
+    return {c.claim_id: c for c in report.claims}["PROP-QUOTIENT-CORRESPONDENCE"]
+
+
+def test_quotient_reports_a_backward_map_that_drops_a_member(monkeypatch):
+    backward = modules.Quotient.backward_submodule
+
+    def dropping(self, Nq):
+        B = backward(self, Nq)
+        if B.size == 1:
+            return B
+        return modules.Submodule(B.module, B.member_indices - {max(B.member_indices)},
+                                 B.generator_indices)
+
+    monkeypatch.setattr(modules.Quotient, "backward_submodule", dropping)
+    tally = quotient_tally(spec_of(rings=("Z/4", "Z/6")))
+    # only the two zero modules pass: every preimage there has one member
+    assert (tally.checked, tally.failed) == (226, 224)
+    assert all(f.detail.startswith("backward(forward(N)) != N for [")
+               for f in tally.findings)
+    assert all(f.replay() for f in tally.findings[:5])
+
+
+def test_quotient_reports_a_flipped_quotient_verdict(monkeypatch):
+    # the zero submodule of Z/4 / <(2)> is semiprime; its verdict is flipped
+    # where it is asked as a forward image: for N = M' = <(2)> in free Z/4, and
+    # for N = M' = 0 in Z/4 / <(2)> itself, whose quotient by 0 is itself
+    target = presented_module(rings.make_zn(4), 1, [(2,)])
+    forward, verdict = modules.Quotient.forward_submodule, harness.is_semiprime_submodule
+    images = []
+
+    def remembered(self, N):
+        images.append(forward(self, N))
+        return images[-1]
+
+    def flipped(N):
+        found = verdict(N)
+        if images and N is images[-1] and N.module is target and N.size == 1:
+            return Verdict(not found.holds)
+        return found
+
+    monkeypatch.setattr(modules.Quotient, "forward_submodule", remembered)
+    monkeypatch.setattr(harness, "is_semiprime_submodule", flipped)
+    tally = quotient_tally(spec_of(rings=("Z/4", "Z/6")))
+    assert (tally.checked, tally.failed) == (226, 2)
+    assert [f.detail for f in tally.findings] == [
+        "semiprimeness not preserved for [(0),(2)] under the quotient map",
+        "semiprimeness not preserved for [(0)] under the quotient map"]
+    assert all(f.replay() for f in tally.findings)
+
+
+def test_quotient_reports_images_missing_from_the_quotient_lattice(monkeypatch):
+    # the quotient's lattice loses its 2-element submodules, which are still
+    # images of submodules above the kernel
+    quotient_module, lattice = harness.quotient_module, harness.enumerate_submodules
+    quotients = []
+
+    def remembered(M, sub):
+        quotients.append(quotient_module(M, sub))
+        return quotients[-1]
+
+    def thinned(M, bound):
+        found = lattice(M, bound)
+        if quotients and M is quotients[-1].module:
+            return [N for N in found if N.size != 2]
+        return found
+
+    monkeypatch.setattr(harness, "quotient_module", remembered)
+    monkeypatch.setattr(harness, "enumerate_submodules", thinned)
+    tally = quotient_tally(spec_of(rings=("Z/4", "Z/6")))
+    assert (tally.checked, tally.failed) == (226, 117)
+    assert all(re.fullmatch(r"submodules above the kernel do not map onto the "
+                            r"quotient's: (\d+) images vs (\d+)", f.detail)
+               for f in tally.findings)
+    assert "submodules above the kernel do not map onto the quotient's: 4 images vs 3" in [
+        f.detail for f in tally.findings]
+
+
+def test_quotient_walks_each_pair_once(monkeypatch):
+    # one forward and one backward call per kernel M' and N above it, over
+    # the lattice when it was enumerated and the selected submodules otherwise
+    calls = {"forward_submodule": 0, "backward_submodule": 0}
+    for name in calls:
+        method = getattr(modules.Quotient, name)
+
+        def counted(self, N, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, N)
+
+        monkeypatch.setattr(modules.Quotient, name, counted)
+    spec = spec_of(rings=("Z/4", "Z/6"), relation_strategies=("free", "cyclic", "random"),
+                   lattice_bound=8)
+    report = verify_all(spec)
+    assert report.ok
+    pairs = 0
+    for inst in expand_corpus(spec):
+        candidates = (modules.enumerate_submodules(inst.module, spec.lattice_bound)
+                      if inst.lattice_complete else inst.submodules)
+        pairs += sum(mp.issubset(N) for mp in inst.submodules for N in candidates)
+    assert calls == {"forward_submodule": pairs, "backward_submodule": pairs} == {
+        "forward_submodule": 393, "backward_submodule": 393}
 
 
 # -- finding replay ------------------------------------------------------------------

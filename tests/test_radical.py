@@ -183,6 +183,31 @@ def test_radical_by_iteration_plane(z4_plane):
     assert trace.fixpoint_index == 2
 
 
+def test_cold_iteration_scans_once_per_chain_step(monkeypatch):
+    # the last step's empty scan is the fixpoint's semiprime verdict, so the
+    # fixpoint is not scanned a second time
+    scans = []
+
+    def counted(N):
+        scans.append(N.member_indices)
+        return qualifiers(N)
+
+    qualifiers = predicates._qualifiers
+    for mod in (radical, predicates):
+        monkeypatch.setattr(mod, "_qualifiers", counted)
+    for ring, rank in ((make_zn(4), 2), (make_zn(8), 1), (make_zn(12), 1)):
+        M = ModulePresentation(ring, rank)   # built directly: a cold table
+        fixpoints = []
+        for N in enumerate_submodules(M):
+            scans.clear()
+            fixpoint, trace = radical_by_iteration(N)
+            assert scans == [N.member_indices] + [
+                step.submodule.member_indices for step in trace.steps[:-1]]
+            fixpoints.append(fixpoint)
+        # checked once every chain has run, as a verdict would warm the table
+        assert all(is_semiprime_submodule(F).holds for F in fixpoints)
+
+
 def test_trace_chain_is_weakly_increasing_and_replayable():
     for factory in SMALL_MODULES:
         M = factory()
@@ -270,9 +295,9 @@ def test_whole_module_radical_is_whole_module():
 
 
 def test_radical_invariants_are_checked_under_optimize():
-    # a predicate that rejects everything breaks both semiprime checks, a
-    # step that drops to zero breaks the growing chain, and an ideal test that
-    # rejects everything breaks the colon-ideal check
+    # a predicate that rejects everything breaks the semiprime intersection
+    # check, a step that drops to zero breaks the growing chain, and an ideal
+    # test that rejects everything breaks the colon-ideal check
     code = ("from modradical import radical\n"
             "from modradical.modules import free_module, full_submodule, zero_submodule\n"
             "from modradical.predicates import Verdict\n"
@@ -284,7 +309,6 @@ def test_radical_invariants_are_checked_under_optimize():
             "    except AssertionError as exc:\n"
             "        print('rejected:', exc)\n"
             "radical.is_semiprime_submodule = lambda N: Verdict(False)\n"
-            "rejected(radical.radical_by_iteration, zero_submodule(M))\n"
             "rejected(radical.smallest_semiprime_over, zero_submodule(M))\n"
             "radical.first_radical_step = lambda N: (zero_submodule(M), ())\n"
             "rejected(radical.radical_by_iteration, full_submodule(M))\n"
@@ -298,7 +322,6 @@ def test_radical_invariants_are_checked_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
-        "rejected: iteration fixpoint [0, 2] is not semiprime",
         "rejected: intersection [0, 1, 2, 3] of semiprimes is not semiprime",
         "rejected: radical chain shrank at step 1",
         "rejected: colon set [0, 1, 2, 3] is not an ideal in Z/4",
