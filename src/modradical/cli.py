@@ -1,9 +1,9 @@
 """Command-line interface: parse an instance file, run a command, emit a report.
 
 Exit status: 0 when the computation succeeded (and, for ``verify``, every
-claim passed), 1 when ``verify`` found counterexamples or the methods of
-``radical`` disagree, 2 on input errors (malformed files, unknown names,
-exceeded bounds).
+claim passed), 1 when ``verify`` found counterexamples, the methods of
+``radical`` disagree or a ``compare`` row contradicts a certified theorem,
+2 on input errors (malformed files, unknown names, exceeded bounds).
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def run_command(instance: InstanceFile | None, command: str,
     if command in CHECK_COMMANDS:
         return _run_check(instance, command, flags), 0
     if command == "compare":
-        return _run_compare(instance, flags), 0
+        data = _run_compare(instance, flags)
+        return data, (1 if data["contradictions"] else 0)
     if command == "radical":
         return _run_radical(instance, flags)
     if command == "radical-trace":

@@ -11,7 +11,8 @@ The format is line-oriented and whitespace-insensitive within lines::
 Ring descriptors are ``Z/n``, ``GF(q) poly=[c0,...,1]`` (ascending
 coefficients, monic) and ``product(D1, D2, ...)``.  Scalars are canonical
 integer encodings; over ``GF(p^k)`` a scalar may also be written as a
-coefficient list ``[c0,c1,...]``.  Parse errors carry line and column.
+coefficient list ``[c0,c1,...]``.  Every list, here and in corpus specs, is
+read by :meth:`_Cursor.items`.  Parse errors carry line and column.
 """
 
 from __future__ import annotations
@@ -111,6 +112,28 @@ class _Cursor:
             self.error("expected an integer")
         return int(self.text[start:self.pos])
 
+    def items(self, item, open: str = "", close: str = "") -> list:
+        """The one list rule, ``item {"," item}``: each ``item()`` reads one
+        entry.  Between ``open`` and ``close`` the list may be empty."""
+        if open:
+            self.take(open)
+            if self.try_take(close):
+                return []
+        out = [item()]
+        while self.try_take(","):
+            out.append(item())
+        if close:
+            self.take(close)
+        return out
+
+
+def _lines(text: str):
+    """A cursor for each line that has content once its ``#`` comment is cut."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield _Cursor(line, line_no)
+
 
 # -- ring descriptors ------------------------------------------------------------
 
@@ -129,7 +152,7 @@ def _parse_descriptor(cur: _Cursor) -> FiniteRing:
                 cur.error(f"{q} is not a prime power", start)
             p, k = pk
             if cur.try_take("poly="):
-                coeffs = _parse_int_list(cur)
+                coeffs = cur.items(cur.integer, "[", "]")
             elif k == 1:
                 coeffs = [0, 1]
             else:
@@ -137,25 +160,12 @@ def _parse_descriptor(cur: _Cursor) -> FiniteRing:
                           start)
             return make_gf(p, k, coeffs)
         if cur.try_take("product("):
-            factors = [_parse_descriptor(cur)]
-            while cur.try_take(","):
-                factors.append(_parse_descriptor(cur))
+            factors = cur.items(lambda: _parse_descriptor(cur))
             cur.take(")")
             return make_product(factors)
     except RingConstructionError as exc:
         cur.error(str(exc), start)
     cur.error("unknown ring descriptor (expected Z/n, GF(q), or product(...))", start)
-
-
-def _parse_int_list(cur: _Cursor) -> list[int]:
-    cur.take("[")
-    out = []
-    if not cur.try_take("]"):
-        out.append(cur.integer())
-        while cur.try_take(","):
-            out.append(cur.integer())
-        cur.take("]")
-    return out
 
 
 def parse_ring_descriptor(text: str) -> FiniteRing:
@@ -174,7 +184,7 @@ def _parse_scalar(cur: _Cursor, ring: FiniteRing) -> int:
     cur.skip_ws()
     start = cur.pos
     if cur.peek() == "[":
-        coeffs = _parse_int_list(cur)
+        coeffs = cur.items(cur.integer, "[", "]")
         p = getattr(ring, "char_p", None)
         k = getattr(ring, "degree_k", None)
         if p is None:
@@ -197,27 +207,10 @@ def _parse_scalar(cur: _Cursor, ring: FiniteRing) -> int:
 def _parse_vector(cur: _Cursor, ring: FiniteRing, rank: int) -> tuple:
     cur.skip_ws()
     start = cur.pos
-    cur.take("(")
-    comps: list[int] = []
-    if not cur.try_take(")"):
-        comps.append(_parse_scalar(cur, ring))
-        while cur.try_take(","):
-            comps.append(_parse_scalar(cur, ring))
-        cur.take(")")
+    comps = cur.items(lambda: _parse_scalar(cur, ring), "(", ")")
     if len(comps) != rank:
         cur.error(f"vector has {len(comps)} components, module rank is {rank}", start)
     return tuple(comps)
-
-
-def _parse_vector_list(cur: _Cursor, ring: FiniteRing, rank: int) -> list[tuple]:
-    cur.take("[")
-    out = []
-    if not cur.try_take("]"):
-        out.append(_parse_vector(cur, ring, rank))
-        while cur.try_take(","):
-            out.append(_parse_vector(cur, ring, rank))
-        cur.take("]")
-    return out
 
 
 # -- instance files ----------------------------------------------------------------
@@ -231,11 +224,7 @@ def parse_instance(text: str,
     submodules: dict[str, Submodule] = {}
     elements: dict[str, ModuleElement] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        cur = _Cursor(line, line_no)
+    for cur in _lines(text):
         keyword = cur.word()
         if keyword == "ring":
             if ring is not None:
@@ -251,7 +240,7 @@ def parse_instance(text: str,
             rank = cur.integer()
             cur.take("relations")
             cur.take("=")
-            relations = tuple(_parse_vector_list(cur, ring, rank))
+            relations = tuple(cur.items(lambda: _parse_vector(cur, ring, rank), "[", "]"))
             module = presented_module(ring, rank, relations, element_bound)
         elif keyword in ("submodule", "element"):
             if module is None:
@@ -264,7 +253,7 @@ def parse_instance(text: str,
             if keyword == "submodule":
                 cur.take("gens")
                 cur.take("=")
-                gens = _parse_vector_list(cur, ring, module.rank)
+                gens = cur.items(lambda: _parse_vector(cur, ring, module.rank), "[", "]")
                 submodules[name] = submodule_generate(module, gens)
             else:
                 cur.take("=")

@@ -8,7 +8,7 @@ import pytest
 
 import modradical.cli
 import modradical.instance
-from modradical import radical
+from modradical import predicates, radical
 from modradical.cli import main
 from modradical.instance import parse_instance
 from modradical.modules import ModulePresentation, full_submodule, zero_submodule
@@ -84,6 +84,15 @@ def test_radical_exits_one_when_methods_disagree(capsys, monkeypatch):
     assert code == 1
     assert "by iteration:          [(0),(1),(2),(3)]" in out
     assert "methods agree: no" in out
+
+
+def test_compare_exits_one_when_a_row_contradicts_a_theorem(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(predicates, "is_dauns_semiprime", lambda N: False)
+    out_file = tmp_path / "compare.txt"
+    code, out, _ = run_cli(capsys, "compare", str(GOLDEN / "z4_zero.instance"),
+                           "--out", str(out_file))
+    assert code == 1 and out == ""
+    assert "contradictions: 2" in out_file.read_text(encoding="utf-8")
 
 
 def test_text_mode_check_includes_witness(capsys):

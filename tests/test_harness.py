@@ -20,7 +20,7 @@ from modradical.harness import (
     parse_corpus_spec,
     verify_all,
 )
-from modradical.instance import format_vec
+from modradical.instance import ParseError, format_vec, parse_instance
 from modradical.modules import presented_module, submodule_generate
 from modradical.predicates import Verdict, _semiprime_verdict, is_semiprime_submodule
 from modradical.report import render_structured
@@ -96,19 +96,40 @@ def test_expand_stops_at_the_first_rank_past_the_default_element_bound():
     # |R|^rank only grows, so ranks past the first one over the bound admit
     # nothing and are not visited; in a subprocess, so a loop over every rank
     # up to max_rank times out instead of hanging the suite
-    code = ("from modradical.harness import CorpusSpec, expand_corpus\n"
-            "for max_rank in (16, 10 ** 6):\n"
-            "    spec = CorpusSpec(rings=('Z/2', 'Z/3'), max_rank=max_rank,\n"
-            "                      relation_strategies=('free',))\n"
-            "    print([inst.instance_id for inst in expand_corpus(spec)])\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=20)
+    done = _run_python("from modradical.harness import CorpusSpec, expand_corpus\n"
+                       "for max_rank in (16, 10 ** 6):\n"
+                       "    spec = CorpusSpec(rings=('Z/2', 'Z/3'), max_rank=max_rank,\n"
+                       "                      relation_strategies=('free',))\n"
+                       "    print([inst.instance_id for inst in expand_corpus(spec)])\n",
+                       timeout=20)
     assert done.returncode == 0, done.stderr
     few, many = done.stdout.splitlines()
     assert few == many and "Z/3 rank=3 relations=[]" in few
+
+
+def test_expand_skips_candidates_that_cannot_be_admitted_before_building_them():
+    # one relation leaves |M| >= |R|^(rank-1): every cyclic module of rank 3
+    # over Z/27 has at least 729 elements.  Building the 19683 candidates
+    # takes well over a gigabyte, so the subprocess caps its address space.
+    done = _run_python("import resource\n"
+                       "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                       "from modradical.harness import CorpusSpec, expand_corpus\n"
+                       "spec = CorpusSpec(rings=('Z/27',), max_rank=3,\n"
+                       "                  relation_strategies=('cyclic',), element_bound=256)\n"
+                       "corpus = expand_corpus(spec)\n"
+                       "print(len(corpus), max(inst.module.rank for inst in corpus))\n",
+                       timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["56", "2"]
+
+
+def _run_python(code: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_each_distinct_presentation_is_constructed_once(monkeypatch):
@@ -190,6 +211,21 @@ def test_verify_z4_alone_checks_iteration_on_three_submodules():
     by_id = {c.claim_id: c for c in report.claims}
     assert by_id["THM-ITERATION"].checked == 3
     assert by_id["THM-ITERATION"].failed == 0
+
+
+def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch):
+    # a first step of M leaves the chain growing and its fixpoint semiprime,
+    # so only the comparison with the intersection of primes catches it
+    monkeypatch.setattr(radical, "first_radical_step",
+                        lambda N: (modules.full_submodule(N.module), ()))
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tally = by_id.pop("THM-ITERATION")
+    assert (tally.checked, tally.failed) == (15, 8)
+    assert all(f.detail.startswith("iterated radical differs from the intersection "
+                                   "of primes: ") for f in tally.findings)
+    assert all(f.replay() for f in tally.findings)
+    assert all(c.failed == 0 for c in by_id.values())
 
 
 def test_verify_gating_with_lattice_bound_zero():
@@ -506,6 +542,46 @@ def test_parse_corpus_spec_reports_the_line_of_a_bad_entry(line, message):
     text = str(err.value)
     assert text.startswith("corpus spec line 4: ") and message in text
     assert "col" not in text
+
+
+UNKNOWN_RING = "unknown ring descriptor (expected Z/n, GF(q), or product(...))"
+
+
+@pytest.mark.parametrize("line,parsed", [
+    ("rings product(product(Z/2,Z/3) , GF(4) poly=[ 1,1 ,1 ]) ,Z/4",
+     ("product(product(Z/2,Z/3) , GF(4) poly=[ 1,1 ,1 ])", "Z/4")),
+    ("strategies random ,free", ("random", "free")),
+    ("rings Z/2,", "corpus spec line 2: " + UNKNOWN_RING),
+    ("rings ,Z/2", "corpus spec line 2: " + UNKNOWN_RING),
+    ("rings Z/2,,Z/3", "corpus spec line 2: " + UNKNOWN_RING),
+    ("rings product(Z/2, Z/3", "corpus spec line 2: expected ')'"),
+    ("rings GF(4) poly=[1,1,1", "corpus spec line 2: expected ']'"),
+    ("rings GF(4) poly=[1,1,1,]", "corpus spec line 2: expected an integer"),
+    ("rings Z/2 Z/3", "corpus spec line 2: trailing text after ring descriptor"),
+    ("strategies free,", "corpus spec line 2: expected a name"),
+    ("strategies ,free", "corpus spec line 2: expected a name"),
+    ("strategies free,,cyclic", "corpus spec line 2: expected a name"),
+    ("strategies free cyclic", "corpus spec line 2: trailing text"),
+])
+def test_corpus_spec_lists_follow_the_one_list_rule(line, parsed):
+    text = f"# lists\n{line}\n" + ("" if line.startswith("rings") else "rings Z/2\n")
+    if isinstance(parsed, str):
+        with pytest.raises(ValueError) as err:
+            parse_corpus_spec(text)
+        assert str(err.value) == parsed
+    else:
+        spec = parse_corpus_spec(text)
+        assert parsed in (spec.rings, spec.relation_strategies)
+
+
+@pytest.mark.parametrize("entries", ["Z/2,", ",Z/2", "Z/2,,Z/3", "product(Z/2,",
+                                     "GF(4) poly=[1,1,]", "Z/2, GF(4) poly=[1,1"])
+def test_instance_files_and_corpus_specs_reject_the_same_list_forms(entries):
+    with pytest.raises(ParseError) as in_instance:
+        parse_instance(f"ring product({entries})\nmodule rank=1 relations=[]\n")
+    with pytest.raises(ValueError) as in_spec:
+        parse_corpus_spec(f"rings {entries}\n")
+    assert str(in_spec.value) == f"corpus spec line 1: {in_instance.value.message}"
 
 
 @pytest.mark.parametrize("repeat", ["rings Z/2", "max_rank 1", "strategies free"])

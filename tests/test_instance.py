@@ -165,3 +165,47 @@ def test_format_vec():
     assert format_vec((0, 2)) == "(0,2)"
     assert format_vec(()) == "()"
     assert format_vec((3,)) == "(3)"
+
+
+Z4_PLANE = "ring Z/4\nmodule rank=2 relations=[]\n"
+GF4_LINE = "ring GF(4) poly=[1,1,1]\nmodule rank=1 relations=[]\n"
+
+
+@pytest.mark.parametrize("text,rendered", [
+    ("ring Z/4\nmodule rank=0 relations=[()]\nsubmodule N gens=[]\nelement m = ( )\n",
+     "ring Z/4\nmodule rank=0 relations=[()]\nsubmodule N gens=[]\nelement m = ()\n"),
+    ("ring product(product(Z/2,Z/3) , GF(4) poly=[ 1,1 ,1 ])\nmodule rank=1 relations=[ (1) ]\n",
+     "ring product(product(Z/2, Z/3), GF(4) poly=[1,1,1])\nmodule rank=1 relations=[(1)]\n"),
+    ("ring GF(4) poly=[1,1,1]\nmodule rank=2 relations=[([0,1],[1]),([],0)]\n"
+     "submodule N gens=[([1,1],0)]\n",
+     "ring GF(4) poly=[1,1,1]\nmodule rank=2 relations=[(2,1),(0,0)]\n"
+     "submodule N gens=[(0,2)]\n"),
+])
+def test_instance_lists_accept_the_one_list_rule(text, rendered):
+    assert render_instance(parse_instance(text)) == rendered
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    (Z4_PLANE.replace("[]", "[,(1,0)]"), 2, 26, "expected '('"),
+    (Z4_PLANE.replace("[]", "[(1,0),,(0,1)]"), 2, 32, "expected '('"),
+    (Z4_PLANE.replace("[]", "[(1,0),]"), 2, 32, "expected '('"),
+    (Z4_PLANE.replace("[]", "[(1,0)"), 2, 31, "expected ']'"),
+    (Z4_PLANE.replace("[]", "[(1,0) (0,1)]"), 2, 32, "expected ']'"),
+    (Z4_PLANE + "submodule N gens=[(,1)]", 3, 20, "expected an integer"),
+    (Z4_PLANE + "element m = (1,)", 3, 16, "expected an integer"),
+    (Z4_PLANE + "element m = (1,0", 3, 17, "expected ')'"),
+    ("ring GF(4) poly=[1,1,1,]", 1, 24, "expected an integer"),
+    ("ring GF(4) poly=[1,1,1", 1, 23, "expected ']'"),
+    (GF4_LINE + "element a = ([0,1,])", 3, 19, "expected an integer"),
+    (GF4_LINE + "element a = ([,1])", 3, 15, "expected an integer"),
+    (GF4_LINE + "element a = ([0,1)", 3, 18, "expected ']'"),
+    ("ring product()", 1, 14, "unknown ring descriptor (expected Z/n, GF(q), or product(...))"),
+    ("ring product(,Z/2)", 1, 14, "unknown ring descriptor (expected Z/n, GF(q), or product(...))"),
+    ("ring product(Z/2,,Z/3)", 1, 18, "unknown ring descriptor (expected Z/n, GF(q), or product(...))"),
+    ("ring product(Z/2,)", 1, 18, "unknown ring descriptor (expected Z/n, GF(q), or product(...))"),
+    ("ring product(Z/2, product(Z/3, Z/4)", 1, 36, "expected ')'"),
+])
+def test_instance_lists_reject_what_the_one_list_rule_rejects(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
