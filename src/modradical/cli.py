@@ -184,7 +184,7 @@ def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
     steps = []
     products: dict[int, str] = {}   # witnesses share product tuples; format each once
     prev = N
-    for step in trace.steps:
+    for k, step in enumerate(trace.steps, start=1):
         witnesses = []
         for w in step.witnesses:
             product = products.get(id(w.product_members))
@@ -197,7 +197,7 @@ def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
             })
         members = step.submodule.member_indices
         steps.append({
-            "index": step.index,
+            "index": k,
             "members": texts.listing(sorted(members)),
             "new": texts.listing(sorted(members - prev.member_indices)),
             "witnesses": witnesses if witnesses else "none",
@@ -210,7 +210,7 @@ def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
         "start": texts.members(N),
         "steps": steps,
         "fixpoint": {
-            "index": trace.fixpoint_index,
+            "index": len(trace.steps),
             "members": texts.members(trace.fixpoint),
         },
     }
@@ -425,15 +425,15 @@ def main(argv=None) -> int:
             text = Path(args.file).read_text(encoding="utf-8")
             instance = parse_instance(text, args.element_bound)
         data, code = run_command(instance, args.command, args)
+        rendered = render_structured(data) if args.format == "structured" else render_text(data)
+        if args.out is not None:
+            Path(args.out).write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)
     except (ParseError, BoundExceededError, RingConstructionError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = render_structured(data) if args.format == "structured" else render_text(data)
-    if args.out is not None:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
     return code
 
 

@@ -266,21 +266,20 @@ def _check_iteration(module, subs, lattice_bound, *_):
     """The radical chain of N grows, replays and ends at rad(N) = the
     intersection of the primes above N.
 
-    Each step must contain the one before it and every witness must replay;
-    the fixpoint must be semiprime and, with the lattice enumerated, equal
-    ``radical_by_primes``.  That also puts the first step inside every prime
-    P above N: the chain only grows, so the first step lies in the fixpoint,
-    which is the intersection of all such P.
+    The chain grows by construction: ``radical_by_iteration`` raises on a
+    step that shrinks, so no chain it returns does.  Every witness must
+    replay; the fixpoint must be semiprime and, with the lattice enumerated,
+    equal ``radical_by_primes``.  That also puts the first step inside every
+    prime P above N: the chain only grows, so the first step lies in the
+    fixpoint, which is the intersection of all such P.
     """
     N = subs["N"]
     fixpoint, trace = radical_by_iteration(N)
-    prev = trace.start
-    for step in trace.steps:
-        if not prev.member_indices <= step.submodule.member_indices:
-            return f"chain shrinks at step {step.index}"
+    prev = N
+    for k, step in enumerate(trace.steps, start=1):
         for w in step.witnesses:
             if not (w.submodule == prev and w.replays()):
-                return f"step {step.index} witness {format_vec(w.m)} does not replay"
+                return f"step {k} witness {format_vec(w.m)} does not replay"
         prev = step.submodule
     if not is_semiprime_submodule(fixpoint).holds:
         return "iteration fixpoint is not semiprime"
@@ -461,7 +460,8 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
-    """Parse a corpus spec file: one ``key value`` pair per line.
+    """Parse a corpus spec file: one ``key value`` pair per line, the key
+    ending at the first space or tab.
 
     Keys: ``rings`` (comma-separated descriptors), ``max_rank``,
     ``strategies`` (comma-separated), ``element_bound``, ``lattice_bound``,
@@ -480,7 +480,7 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
     try:
         for cur in _lines(text):
             cur.skip_ws()
-            key = cur.text[cur.pos:].partition(" ")[0]
+            key = cur.text[cur.pos:].replace("\t", " ").partition(" ")[0]
             cur.pos += len(key)
             if key in ("rings", "strategies"):
                 if cur.eol:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .modules import (
     DEFAULT_LATTICE_BOUND,
@@ -32,13 +33,11 @@ from .predicates import (
 )
 
 
-@dataclass(frozen=True)
-class RadicalStep:
-    """One link of the chain N = N0 <= N1 <= ... produced by the iteration."""
+class RadicalStep(NamedTuple):
+    """One link of the chain N = N0 <= N1 <= ... produced by the iteration:
+    the step's submodule and the semiprime witnesses of its predecessor."""
 
-    index: int
     submodule: Submodule
-    new_members: tuple
     witnesses: tuple[PredicateWitness, ...]
 
 
@@ -46,21 +45,19 @@ class RadicalStep:
 class RadicalTrace:
     """The full chain of one iterated-radical run.
 
-    ``fixpoint_index`` is the first i with the i-th chain member equal to
-    its predecessor; the step list covers i = 1..fixpoint_index, so the last
-    step always records no new members.
+    Step i (1-based) is the i-th chain member.  The steps end at the first
+    one equal to its predecessor, so the last step always adds nothing and
+    the fixpoint's index is ``len(steps)``.
     """
 
-    start: Submodule
     steps: tuple[RadicalStep, ...]
-    fixpoint_index: int
 
     @property
     def fixpoint(self) -> Submodule:
-        return self.steps[-1].submodule if self.steps else self.start
+        return self.steps[-1].submodule
 
 
-def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[PredicateWitness, ...]]:
+def first_radical_step(N: Submodule) -> RadicalStep:
     """One chain step: the submodule generated by {m : m in (N:m)M}.
 
     Elements of N always qualify (their colon ideal is the whole ring), so
@@ -74,11 +71,11 @@ def first_radical_step(N: Submodule) -> tuple[Submodule, tuple[PredicateWitness,
     ms = N.member_indices
     known = M.derived.get((_semiprime_verdict, ms))
     if known is not None and known.holds:
-        return Submodule(M, ms, tuple(sorted(ms))), ()
+        return RadicalStep(Submodule(M, ms, tuple(sorted(ms))), ())
     qualifying = dict(_qualifiers(N))
     step = Submodule(M, frozenset(_grow(M, ms, qualifying)),
                      tuple(sorted(ms.union(qualifying))))
-    return step, tuple(qualifying.values())
+    return RadicalStep(step, tuple(qualifying.values()))
 
 
 def first_radical(N: Submodule) -> Submodule:
@@ -93,25 +90,22 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
     that adds nothing, whose start has no qualifier outside it; that empty
     scan (or a cached true verdict) is the semiprime verdict, so the
     fixpoint is semiprime, which is what makes it the radical.
+
+    The loop ends: a step that does not end it has passed the shrink check
+    and differs from its predecessor, so it is a strict superset.  The
+    member count thus rises with every such step, from |N| to at most |M|,
+    and there are at most |M| - |N| + 1 <= |M| steps.
     """
-    M = N.module
     steps = []
     current = N
-    index = 0
     while True:
-        index += 1
         nxt, witnesses = first_radical_step(current)
         if not current.member_indices <= nxt.member_indices:
-            raise AssertionError(f"radical chain shrank at step {index}")
-        new = tuple(M.elements[i]
-                    for i in sorted(nxt.member_indices - current.member_indices))
-        steps.append(RadicalStep(index, nxt, new, witnesses))
+            raise AssertionError(f"radical chain shrank at step {len(steps) + 1}")
+        steps.append(RadicalStep(nxt, witnesses))
         if nxt.member_indices == current.member_indices:
-            break
+            return nxt, RadicalTrace(tuple(steps))
         current = nxt
-    if index > max(M.element_count, 1):
-        raise AssertionError(f"radical chain took {index} steps in {M.element_count} elements")
-    return steps[-1].submodule, RadicalTrace(start=N, steps=tuple(steps), fixpoint_index=index)
 
 
 def prime_submodules(M: ModulePresentation,

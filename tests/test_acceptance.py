@@ -103,7 +103,7 @@ def test_criterion_3_anchor_z4():
 
     fixpoint, trace = radical_by_iteration(N)
     assert set(fixpoint.members) == {(0,), (2,)}
-    assert trace.fixpoint_index == 2
+    assert len(trace.steps) == 2
 
     # primes of Z/4 over itself, against the subset-enumeration oracle
     expected_primes = {frozenset(s) for s in oracles.prime_sets_by_definition(M)}

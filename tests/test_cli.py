@@ -38,6 +38,21 @@ def test_documented_commands_match_golden_bytes(capsys, command, instance, golde
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def test_readme_quick_tour_prints_what_its_comments_say(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(code, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "False",
+        "(0, 2)",
+        "((0, 0), (0, 2), (2, 0), (2, 2))",
+        "2",
+        "(0, 2)",
+        "True",
+    ]
+
+
 def test_report_prints_the_file_relations_after_another_list_built_the_module(
         tmp_path, capsys):
     parse_instance("ring Z/4\nmodule rank=2 relations=[(2,0),(0,2),(2,2)]\n")
@@ -65,6 +80,16 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0 and out == ""
     assert target.read_text(encoding="utf-8") == \
         (GOLDEN / "radical_z4_zero.structured").read_text(encoding="utf-8")
+
+
+def test_out_to_a_path_that_cannot_be_written_is_an_input_error(tmp_path, capsys):
+    # exit 1 would read as counterexamples found or methods disagreeing
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "check-semiprime", str(GOLDEN / "z6_zero.instance"),
+                             "N", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
 
 
 # -- text mode ---------------------------------------------------------------------
@@ -297,6 +322,9 @@ def test_benchmark_tracer_finds_every_target():
         assert tracer.missing == []
         radical.radical_by_primes(zero_submodule(M))
         assert tracer.summary()["per_name"]["radical.prime_submodules"][0] == 1
+        # the step count is read off the returned trace
+        _, trace = radical.radical_by_iteration(zero_submodule(M))
+        assert tracer.counts["radical.iteration.steps"] == len(trace.steps)
     finally:
         tracer.uninstall()
     # derived values are built by private functions that the tracer leaves alone

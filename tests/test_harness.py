@@ -228,6 +228,15 @@ def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch):
     assert all(c.failed == 0 for c in by_id.values())
 
 
+def test_verify_surfaces_a_shrinking_chain_as_the_library_error(monkeypatch):
+    # radical_by_iteration raises on a step that shrinks, so THM-ITERATION
+    # never sees such a chain and keeps no check of its own
+    monkeypatch.setattr(radical, "first_radical_step",
+                        lambda N: (modules.zero_submodule(N.module), ()))
+    with pytest.raises(AssertionError, match="^radical chain shrank at step 1$"):
+        verify_all(spec_of(rings=("Z/4",), max_rank=1))
+
+
 def test_verify_gating_with_lattice_bound_zero():
     report = verify_all(spec_of(rings=("Z/4",), max_rank=1,
                                 relation_strategies=("free",),
@@ -582,6 +591,16 @@ def test_instance_files_and_corpus_specs_reject_the_same_list_forms(entries):
     with pytest.raises(ValueError) as in_spec:
         parse_corpus_spec(f"rings {entries}\n")
     assert str(in_spec.value) == f"corpus spec line 1: {in_instance.value.message}"
+
+
+@pytest.mark.parametrize("gap", ["\t", "\t  ", " \t"])
+def test_corpus_spec_key_ends_at_a_space_or_tab(gap):
+    spec = parse_corpus_spec(f"rings{gap}Z/2, Z/3\nmax_rank{gap}2\nstrategies{gap}free\n")
+    assert (spec.rings, spec.max_rank, spec.relation_strategies) == (
+        ("Z/2", "Z/3"), 2, ("free",))
+    with pytest.raises(ValueError) as err:
+        parse_corpus_spec(f"rings Z/2\nma-x{gap}2\n")
+    assert str(err.value) == "corpus spec line 2: unknown key 'ma-x'"
 
 
 @pytest.mark.parametrize("repeat", ["rings Z/2", "max_rank 1", "strategies free"])

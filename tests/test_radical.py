@@ -161,26 +161,28 @@ def test_first_radical_step_matches_generation_from_a_full_scan(monkeypatch):
 
 
 def test_radical_by_iteration_z4(z4_line):
-    fixpoint, trace = radical_by_iteration(zero_submodule(z4_line))
+    N = zero_submodule(z4_line)
+    fixpoint, trace = radical_by_iteration(N)
     assert members_of(fixpoint) == {(0,), (2,)}
-    assert trace.fixpoint_index == 2
+    assert len(trace.steps) == 2
     assert members_of(trace.steps[0].submodule) == {(0,), (2,)}
-    assert trace.steps[0].new_members == ((2,),)
-    assert trace.steps[1].new_members == ()
+    chain = [N] + [step.submodule for step in trace.steps]
+    assert [members_of(after) - members_of(before)
+            for before, after in zip(chain, chain[1:])] == [{(2,)}, set()]
 
 
 def test_radical_by_iteration_semiprime_is_immediate(z4_line):
     semiprime = submodule_generate(z4_line, [(2,)])
     fixpoint, trace = radical_by_iteration(semiprime)
     assert fixpoint.member_indices == semiprime.member_indices
-    assert trace.fixpoint_index == 1
+    assert len(trace.steps) == 1
 
 
 def test_radical_by_iteration_plane(z4_plane):
     N = submodule_generate(z4_plane, [(2, 0)])
     fixpoint, trace = radical_by_iteration(N)
     assert members_of(fixpoint) == {(0, 0), (0, 2), (2, 0), (2, 2)}
-    assert trace.fixpoint_index == 2
+    assert len(trace.steps) == 2
 
 
 def test_cold_iteration_scans_once_per_chain_step(monkeypatch):
@@ -213,13 +215,13 @@ def test_trace_chain_is_weakly_increasing_and_replayable():
         M = factory()
         for N in enumerate_submodules(M):
             fixpoint, trace = radical_by_iteration(N)
-            prev = trace.start
+            prev = N
             for step in trace.steps:
                 assert prev.member_indices <= step.submodule.member_indices
                 for w in step.witnesses:
                     assert w.submodule == prev and w.replays()
                 prev = step.submodule
-            assert trace.fixpoint_index <= M.element_count or M.element_count == 0
+            assert len(trace.steps) <= M.element_count or M.element_count == 0
             assert fixpoint.member_indices == trace.fixpoint.member_indices
 
 
