@@ -8,10 +8,12 @@ claim passed), 1 when ``verify`` found counterexamples, the methods of
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn
 
 from .harness import (
     CorpusSpec,
@@ -115,7 +117,7 @@ def _witness_data(verdict: Verdict) -> dict | str:
 # -- command implementations -------------------------------------------------------
 
 
-def _run_check(inst: InstanceFile, command: str, flags: argparse.Namespace) -> dict:
+def _run_check(inst: InstanceFile, flags: SimpleNamespace, command: str) -> tuple[dict, int]:
     N = _named_submodule(inst, flags.name)
     verdict = CHECK_COMMANDS[command](N)
     return {
@@ -125,7 +127,7 @@ def _run_check(inst: InstanceFile, command: str, flags: argparse.Namespace) -> d
         "members": format_vec_list(N.members),
         "holds": verdict.holds,
         "witness": _witness_data(verdict),
-    }
+    }, 0
 
 
 def _row_data(row: NotionRow, texts: _Texts) -> dict:
@@ -141,20 +143,21 @@ def _row_data(row: NotionRow, texts: _Texts) -> dict:
     return data
 
 
-def _run_compare(inst: InstanceFile, flags: argparse.Namespace) -> dict:
+def _run_compare(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
     rows = compare_notions(inst.module, flags.lattice_bound)
     texts = _Texts(inst.module)
+    contradictions = sum("CONTRADICTS-THEOREM" in r.flags for r in rows)
     return {
         "command": "compare",
         **_context(inst),
         "rows": [_row_data(r, texts) for r in rows],
-        "contradictions": sum("CONTRADICTS-THEOREM" in r.flags for r in rows),
+        "contradictions": contradictions,
         # squares condition <=> semiprime over finite rings (PROP-COLON-SEMIPRIME)
         "separations": 0,
-    }
+    }, (1 if contradictions else 0)
 
 
-def _run_radical(inst: InstanceFile, flags: argparse.Namespace) -> tuple[dict, int]:
+def _run_radical(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
     N = _named_submodule(inst, flags.name)
     by_primes = radical_by_primes(N, flags.lattice_bound)
     by_iteration, _ = radical_by_iteration(N)
@@ -177,7 +180,7 @@ def _run_radical(inst: InstanceFile, flags: argparse.Namespace) -> tuple[dict, i
     return data, (0 if agree else 1)
 
 
-def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
+def _run_radical_trace(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
     N = _named_submodule(inst, flags.name)
     _, trace = radical_by_iteration(N)
     texts = _Texts(inst.module)
@@ -213,10 +216,10 @@ def _run_radical_trace(inst: InstanceFile, flags: argparse.Namespace) -> dict:
             "index": len(trace.steps),
             "members": texts.members(trace.fixpoint),
         },
-    }
+    }, 0
 
 
-def _run_primes(inst: InstanceFile, flags: argparse.Namespace) -> dict:
+def _run_primes(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
     primes = prime_submodules(inst.module, flags.lattice_bound)
     texts = _Texts(inst.module)
     return {
@@ -225,7 +228,7 @@ def _run_primes(inst: InstanceFile, flags: argparse.Namespace) -> dict:
         "count": len(primes),
         "primes": [{"members": texts.members(P),
                     "generators": texts.listing(P.generator_indices)} for P in primes],
-    }
+    }, 0
 
 
 def _spec_data(spec: CorpusSpec) -> dict:
@@ -260,7 +263,7 @@ def verify_report_data(report: VerificationReport, include_timing: bool = False)
     return data
 
 
-def _run_verify(flags: argparse.Namespace) -> tuple[dict, int]:
+def _run_verify(_: None, flags: SimpleNamespace) -> tuple[dict, int]:
     from .harness import parse_corpus_spec
     if flags.spec is not None:
         spec = parse_corpus_spec(Path(flags.spec).read_text(encoding="utf-8"))
@@ -273,25 +276,68 @@ def _run_verify(flags: argparse.Namespace) -> tuple[dict, int]:
     return data, (0 if report.ok else 1)
 
 
+# -- command table -------------------------------------------------------------------
+
+
+class Flag(NamedTuple):
+    """One flag of ``FLAGS``: how it is shown, read, defaulted and range-checked."""
+
+    metavar: str               # "a|b" lists the values the flag accepts
+    type: type                 # int or str
+    default: object
+    help: str
+    least: int | None = None   # an int flag's smallest value, as in a corpus spec
+
+
+FLAGS = {
+    "--format": Flag("text|structured", str, "text", "report format (default text)"),
+    "--out": Flag("PATH", str, None, "write the report to this path, not to stdout"),
+    "--element-bound": Flag("N", int, DEFAULT_ELEMENT_BOUND, "max ambient vectors "
+                            f"enumerated per module (default {DEFAULT_ELEMENT_BOUND})", 1),
+    "--lattice-bound": Flag("N", int, DEFAULT_LATTICE_BOUND, "max module size for lattice "
+                            f"enumeration (default {DEFAULT_LATTICE_BOUND})", 0),
+    "--spec": Flag("FILE", str, None, "corpus spec file (default corpus if omitted)"),
+    "--seed": Flag("K", int, None, "override the corpus seed"),
+}
+ARGS = {"file": "instance file", "name": "declared submodule name"}
+
+
+class Command(NamedTuple):
+    """One command of ``COMMANDS``: what it takes, what runs it and its help line."""
+
+    args: tuple[str, ...]    # positionals, keys of ARGS
+    flags: tuple[str, ...]   # keys of FLAGS
+    run: Callable[[InstanceFile | None, SimpleNamespace], tuple[dict, int]]
+    help: str
+
+
+# verify takes its bounds from the corpus spec, and only compare, radical and
+# primes enumerate a submodule lattice
+_REPORT = ("--format", "--out")
+_SCAN = (*_REPORT, "--element-bound")
+_LATTICE = (*_SCAN, "--lattice-bound")
+COMMANDS = {
+    **{cmd: Command(("file", "name"), _SCAN, partial(_run_check, command=cmd),
+                    f"decide {cmd.removeprefix('check-')}") for cmd in CHECK_COMMANDS},
+    "compare": Command(("file",), _LATTICE, _run_compare, "predicate table over all submodules"),
+    "radical": Command(("file", "name"), _LATTICE, _run_radical, "radical by all three methods"),
+    "radical-trace": Command(("file", "name"), _SCAN, _run_radical_trace,
+                             "iterated radical with trace"),
+    "primes": Command(("file",), _LATTICE, _run_primes, "list the prime submodules"),
+    "verify": Command((), (*_REPORT, "--spec", "--seed"), _run_verify,
+                      "certify all claims over a corpus"),
+}
+
+
 def run_command(instance: InstanceFile | None, command: str,
-                flags: argparse.Namespace) -> tuple[dict, int]:
+                flags: SimpleNamespace) -> tuple[dict, int]:
     """Dispatch one command against a parsed instance; returns (report, exit code)."""
-    if command == "verify":
-        return _run_verify(flags)
-    if instance is None:
+    entry = COMMANDS.get(command)
+    if entry is None:
+        raise ValueError(f"unknown command {command!r}")
+    if instance is None and entry.args:
         raise ValueError(f"{command} needs an instance file")
-    if command in CHECK_COMMANDS:
-        return _run_check(instance, command, flags), 0
-    if command == "compare":
-        data = _run_compare(instance, flags)
-        return data, (1 if data["contradictions"] else 0)
-    if command == "radical":
-        return _run_radical(instance, flags)
-    if command == "radical-trace":
-        return _run_radical_trace(instance, flags), 0
-    if command == "primes":
-        return _run_primes(instance, flags), 0
-    raise ValueError(f"unknown command {command!r}")
+    return entry.run(instance, flags)
 
 
 # -- text rendering ------------------------------------------------------------------
@@ -366,62 +412,106 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
-# -- argparse wiring -----------------------------------------------------------------
+# -- argument parsing ----------------------------------------------------------------
 
 
-def _at_least(least: int):
-    """An argparse type: an int no smaller than ``least``, as in a corpus spec."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-    parse.__name__ = "int"   # argparse names the type in its message for a non-integer
-    return parse
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: modradical COMMAND ARGS [--format text|structured] [--out PATH]"
+    return " ".join(["usage: modradical", command, *map(str.upper, COMMANDS[command].args),
+                     *(f"[{f} {FLAGS[f].metavar}]" for f in COMMANDS[command].flags)])
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="modradical",
-        description="Semiprime submodules and radicals over finite commutative rings.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _help(command: str | None) -> NoReturn:
+    if command is None:
+        head = ("Semiprime submodules and radicals over finite commutative rings.\n"
+                "modradical COMMAND -h lists the arguments of COMMAND.")
+        rows = [(name, entry.help) for name, entry in COMMANDS.items()]
+    else:
+        entry = COMMANDS[command]
+        head = entry.help
+        rows = [(a.upper(), ARGS[a]) for a in entry.args]
+        rows += [(f"{f} {FLAGS[f].metavar}", FLAGS[f].help) for f in entry.flags]
+    width = max(len(key) for key, _ in rows)
+    sys.stdout.write("\n".join([_usage(command), head, "",
+                                *(f"  {key:<{width}}  {text}" for key, text in rows)]) + "\n")
+    raise SystemExit(0)
 
-    def common(p, with_name=False, with_file=True, with_lattice=False):
-        if with_file:
-            p.add_argument("file", help="instance file")
-        if with_name:
-            p.add_argument("name", help="declared submodule name")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--out", default=None, help="write the report to this path")
-        if with_file:  # verify takes its bounds from the corpus spec
-            p.add_argument("--element-bound", type=_at_least(1), default=DEFAULT_ELEMENT_BOUND,
-                           help="max ambient vectors enumerated per module")
-        if with_lattice:  # only these commands enumerate a submodule lattice
-            p.add_argument("--lattice-bound", type=_at_least(0), default=DEFAULT_LATTICE_BOUND,
-                           help="max module size for submodule-lattice enumeration")
 
-    for cmd in CHECK_COMMANDS:
-        common(sub.add_parser(cmd, help=f"decide {cmd.removeprefix('check-')}"),
-               with_name=True)
-    common(sub.add_parser("compare", help="predicate table over all submodules"),
-           with_lattice=True)
-    common(sub.add_parser("radical", help="radical by all three methods"),
-           with_name=True, with_lattice=True)
-    common(sub.add_parser("radical-trace", help="iterated radical with trace"),
-           with_name=True)
-    common(sub.add_parser("primes", help="list the prime submodules"), with_lattice=True)
-    verify = sub.add_parser("verify", help="certify all claims over a corpus")
-    common(verify, with_file=False)
-    verify.add_argument("--spec", default=None, help="corpus spec file (default corpus if omitted)")
-    verify.add_argument("--seed", type=int, default=None, help="override the corpus seed")
-    return parser
+def _fail(command: str | None, message: str) -> NoReturn:
+    prog = "modradical" if command is None else f"modradical {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` names a flag; a negative number such as ``-1`` is a value."""
+    return len(token) > 1 and token[0] == "-" and not token[1:].isdigit()
+
+
+def _value(command: str, flag: str, text: str):
+    spec = FLAGS[flag]
+    choices = spec.metavar.split("|")
+    if len(choices) > 1 and text not in choices:
+        _fail(command, f"argument {flag}: invalid choice: {text!r} "
+                       f"(choose from {', '.join(map(repr, choices))})")
+    try:
+        value = spec.type(text)
+    except ValueError:
+        _fail(command, f"argument {flag}: invalid {spec.type.__name__} value: {text!r}")
+    if spec.least is not None and value < spec.least:
+        _fail(command, f"argument {flag}: must be at least {spec.least}, got {value}")
+    return value
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its values from ``argv``, read against ``COMMANDS``.
+
+    Flags are spelled in full, as ``--flag value`` or ``--flag=value``, and
+    may stand before, between or after the positionals.
+    """
+    if argv[:1] in (["-h"], ["--help"]):
+        _help(None)
+    if not argv:
+        _fail(None, "the following arguments are required: COMMAND")
+    command, *rest = argv
+    entry = COMMANDS.get(command)
+    if entry is None:
+        _fail(None, f"argument COMMAND: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, COMMANDS))})")
+    values = {f: FLAGS[f].default for f in entry.flags}
+    positionals: list[str] = []
+    unknown: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if token in ("-h", "--help"):
+            _help(command)
+        elif not _is_flag(token):
+            positionals.append(token)
+        elif flag not in values:
+            unknown.append(token)
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or _is_flag(text):
+                    _fail(command, f"argument {flag}: expected one argument")
+            values[flag] = _value(command, flag, text)
+    if len(positionals) < len(entry.args):
+        _fail(command, "the following arguments are required: "
+                       + ", ".join(map(str.upper, entry.args[len(positionals):])))
+    unknown += positionals[len(entry.args):]
+    if unknown:
+        _fail(command, "unrecognized arguments: " + " ".join(unknown))
+    return SimpleNamespace(command=command, **dict(zip(entry.args, positionals)),
+                           **{f[2:].replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         instance = None
-        if "file" in args:  # every command but verify reads an instance file
+        if hasattr(args, "file"):  # every command but verify reads an instance file
             text = Path(args.file).read_text(encoding="utf-8")
             instance = parse_instance(text, args.element_bound)
         data, code = run_command(instance, args.command, args)

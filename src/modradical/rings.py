@@ -205,19 +205,18 @@ class RingElement:
 # -- constructors -------------------------------------------------------------
 
 
-def _tabulate(descriptor: str, size: int, add, mul, zero: int = 0, one: int = 1,
+def _tabulate(descriptor: str, size: int, operations, zero: int = 0, one: int = 1,
               **attrs) -> FiniteRing:
-    """The ring interned on ``descriptor``, tabulated from ``add`` and ``mul``.
+    """The ring interned on ``descriptor``, tabulated from ``operations()``.
 
-    On a cache miss both operations are read over every pair of codes, the
-    ring's axioms are checked, ``attrs`` are set on it and it is interned.
+    Only a cache miss calls ``operations()``: it raises to reject the ring or returns
+    ``(add, mul)``, read over every pair of codes, axiom-checked and interned with ``attrs``.
     """
     ring = _RING_CACHE.get(descriptor)
     if ring is None:
         codes = range(size)
-        ring = FiniteRing(size, tuple(tuple(add(a, b) for b in codes) for a in codes),
-                          tuple(tuple(mul(a, b) for b in codes) for a in codes),
-                          zero, one, descriptor)
+        ring = FiniteRing(size, *(tuple(tuple(op(a, b) for b in codes) for a in codes)
+                                  for op in operations()), zero, one, descriptor)
         vars(ring).update(attrs)
         _RING_CACHE[descriptor] = ring
     return ring
@@ -239,7 +238,7 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (``n >= 2``)."""
     if not isinstance(n, int) or n < 2:
         raise RingConstructionError(f"modulus must be an integer >= 2, got {n!r}")
-    return _tabulate(f"Z/{n}", n, lambda a, b: (a + b) % n, lambda a, b: (a * b) % n)
+    return _tabulate(f"Z/{n}", n, lambda: (lambda a, b: (a + b) % n, lambda a, b: a * b % n))
 
 
 def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
@@ -250,7 +249,7 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
     code of ``c0 + c1*x + ...`` is ``sum(ci * p**i)``.  ``F_p[x]/(poly)`` is
     a field exactly when ``poly`` is irreducible (a proper factor of it is a
     nonzero zero divisor), so the polynomial is accepted when every nonzero
-    code has a multiplicative inverse, before anything is interned.
+    code has a multiplicative inverse, checked only before the field is interned.
     """
     if _prime_power(p) != (p, 1):
         raise RingConstructionError(f"characteristic must be prime, got {p}")
@@ -279,12 +278,13 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
                 conv[i - k + j] -= conv[i] * poly[j]
         return sum(c % p * w for c, w in zip(conv, weights))
 
-    for a in range(1, size):
-        if 1 not in (mul(a, b) for b in range(1, size)):
-            raise RingConstructionError(
-                f"polynomial {list(poly)} is reducible over Z/{p} "
-                f"(code {a} has no inverse)")
-    return _tabulate(f"GF({size}) poly=[{','.join(map(str, poly))}]", size, add, mul,
+    def operations():
+        for a in range(1, size):
+            if 1 not in (mul(a, b) for b in range(1, size)):
+                raise RingConstructionError(f"polynomial {list(poly)} is reducible over "
+                                            f"Z/{p} (code {a} has no inverse)")
+        return add, mul
+    return _tabulate(f"GF({size}) poly=[{','.join(map(str, poly))}]", size, operations,
                      char_p=p, degree_k=k)
 
 
@@ -295,14 +295,14 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
         raise RingConstructionError("product of an empty list of rings")
     strides = tuple(prod(r.size for r in rings[:i]) for i in range(len(rings)))
     size = prod(r.size for r in rings)
-    parts = [tuple(a // s % r.size for s, r in zip(strides, rings)) for a in range(size)]
 
-    def componentwise(op):
-        return lambda a, b: sum(op(r, x, y) * s for r, x, y, s
-                                in zip(rings, parts[a], parts[b], strides))
+    def operations():
+        parts = [tuple(a // s % r.size for s, r in zip(strides, rings)) for a in range(size)]
+        return tuple(lambda a, b, op=op: sum(op(r, x, y) * s for r, x, y, s
+                                             in zip(rings, parts[a], parts[b], strides))
+                     for op in (FiniteRing.add, FiniteRing.mul))
 
-    return _tabulate(f"product({', '.join(r.descriptor for r in rings)})", size,
-                     componentwise(FiniteRing.add), componentwise(FiniteRing.mul),
+    return _tabulate(f"product({', '.join(r.descriptor for r in rings)})", size, operations,
                      sum(r.zero * s for r, s in zip(rings, strides)),
                      sum(r.one * s for r, s in zip(rings, strides)),
                      factors=rings, _strides=strides)

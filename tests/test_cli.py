@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,22 +200,31 @@ def test_verify_rejects_bound_flags(capsys, flag):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["radical", "N", "--lattice-bound", "-3"],
-    ["compare", "--lattice-bound", "-1"],
-    ["primes", "--lattice-bound", "-1"],
-    ["radical", "N", "--element-bound", "0"],
-    ["check-semiprime", "N", "--element-bound", "-4"],
-    ["radical-trace", "N", "--element-bound", "0"],
-], ids=" ".join)
-def test_bound_flags_reject_values_that_cannot_work(capsys, argv):
+def _argv_ids(cases) -> list[str]:
+    return [" ".join(argv) or "(none)" for argv, _ in cases]
+
+
+BOUND_ERRORS = [
+    (["radical", "N", "--lattice-bound", "-3"], "must be at least 0, got -3"),
+    (["compare", "--lattice-bound", "-1"], "must be at least 0, got -1"),
+    (["primes", "--lattice-bound", "-1"], "must be at least 0, got -1"),
+    (["radical", "N", "--element-bound", "0"], "must be at least 1, got 0"),
+    (["check-semiprime", "N", "--element-bound", "-4"], "must be at least 1, got -4"),
+    (["radical-trace", "N", "--element-bound", "0"], "must be at least 1, got 0"),
+    (["radical", "N", "--lattice-bound", "two"], "invalid int value: 'two'"),
+    (["compare", "--element-bound=1e3"], "invalid int value: '1e3'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BOUND_ERRORS, ids=_argv_ids(BOUND_ERRORS))
+def test_bound_flags_reject_values_that_cannot_work(capsys, argv, message):
     # the ranges of the corpus spec: element_bound >= 1, lattice_bound >= 0
     argv = [argv[0], str(GOLDEN / "z4_zero.instance"), *argv[1:]]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    least = 0 if "--lattice-bound" in argv else 1
-    assert f"must be at least {least}, got {argv[-1]}" in capsys.readouterr().err
+    flag = next(a for a in argv if a.startswith("--")).partition("=")[0]
+    assert f"modradical {argv[0]}: error: argument {flag}: {message}\n" in capsys.readouterr().err
 
 
 def test_bound_flags_accept_their_least_values(capsys):
@@ -243,6 +255,115 @@ def test_listings_format_each_element_once(monkeypatch, capsys, command):
     products = {line.split(" = ")[1] for line in lines if ".product = " in line}
     assert listed and len(formatted) == (
         len(listed) + witnesses + sum(len(vecs.findall(p)) for p in products))
+
+
+# -- argument parsing ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    *([flag] for flag in ("-h", "--help")),
+    *([command, *before, flag] for command in modradical.cli.COMMANDS
+      for before in ([], ["F", "--format", "text"]) for flag in ("-h", "--help")),
+], ids=" ".join)
+def test_help_lists_what_the_command_table_gives(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    command = argv[0] if len(argv) > 1 else None
+    rows = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    if command is None:
+        assert rows == list(modradical.cli.COMMANDS)
+    else:
+        entry = modradical.cli.COMMANDS[command]
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == set(entry.flags)
+        assert rows == [*map(str.upper, entry.args), *entry.flags]
+
+
+ACCEPTED_FORMS = [
+    (["radical", "F", "N"],
+     dict(file="F", name="N", format="text", out=None, element_bound=65536,
+          lattice_bound=256)),
+    (["radical", "--format=structured", "F", "--lattice-bound", "0", "N", "--out=o"],
+     dict(file="F", name="N", format="structured", out="o", element_bound=65536,
+          lattice_bound=0)),
+    (["check-prime", "--element-bound", "1", "F", "N", "--element-bound=7"],
+     dict(file="F", name="N", format="text", out=None, element_bound=7)),
+    (["primes", "F", "--out", "-"],
+     dict(file="F", format="text", out="-", element_bound=65536, lattice_bound=256)),
+    (["verify", "--seed", "-1"], dict(format="text", out=None, spec=None, seed=-1)),
+    (["verify", "--spec=s=t", "--seed=-12", "--format", "structured"],
+     dict(format="structured", out=None, spec="s=t", seed=-12)),
+]
+
+
+@pytest.mark.parametrize("argv,parsed", ACCEPTED_FORMS, ids=_argv_ids(ACCEPTED_FORMS))
+def test_accepted_argument_forms(argv, parsed):
+    assert vars(modradical.cli._parse_args(argv)) == {"command": argv[0], **parsed}
+
+
+REJECTED_FORMS = [
+    ([], "modradical: error: the following arguments are required: COMMAND"),
+    (["nope"], "modradical: error: argument COMMAND: invalid choice: 'nope' "
+               "(choose from 'check-semiprime', "),
+    (["--format", "text", "radical"], "modradical: error: argument COMMAND: invalid choice"),
+    (["radical", "F"], "modradical radical: error: the following arguments are "
+                       "required: NAME"),
+    (["compare"], "modradical compare: error: the following arguments are required: FILE"),
+    (["radical", "F", "N", "X"], "modradical radical: error: unrecognized arguments: X"),
+    (["verify", "F"], "modradical verify: error: unrecognized arguments: F"),
+    (["radical", "F", "N", "--out"],
+     "modradical radical: error: argument --out: expected one argument"),
+    (["radical", "F", "N", "--lattice-bound", "--format", "text"],
+     "modradical radical: error: argument --lattice-bound: expected one argument"),
+    (["radical", "F", "N", "--format", "xml"], "modradical radical: error: argument "
+     "--format: invalid choice: 'xml' (choose from 'text', 'structured')"),
+    (["verify", "--seed", "1.5"],
+     "modradical verify: error: argument --seed: invalid int value: '1.5'"),
+    # flags are spelled in full: an abbreviation is not a flag the command takes
+    (["radical", "F", "N", "--form", "structured"],
+     "modradical radical: error: unrecognized arguments: --form structured"),
+    (["radical", "F", "N", "--form=structured"],
+     "modradical radical: error: unrecognized arguments: --form=structured"),
+    (["verify", "-s", "x"], "modradical verify: error: unrecognized arguments: -s x"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REJECTED_FORMS, ids=_argv_ids(REJECTED_FORMS))
+def test_rejected_argument_forms(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: modradical ") and error.startswith(message)
+
+
+def test_importing_the_cli_leaves_argparse_and_gettext_unloaded():
+    # both cost milliseconds on every command line
+    code = ("import sys, modradical.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
+def test_readme_command_table_matches_the_cli():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    usage = section.split("```\n", 2)[1].splitlines()[0]
+    assert "usage: " + usage == modradical.cli._usage(None)
+    table = next(block for block in section.split("\n\n") if block.startswith("| command |"))
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    report = ("--format", "--out")   # every command takes these; the table leaves them out
+    documented = {cmd.strip(" `"): args.strip(" `").split() for cmd, args in rows}
+    assert documented == {
+        name: [*map(str.upper, entry.args),
+               *(word for f in entry.flags if f not in report
+                 for word in (f"[{f}", f"{modradical.cli.FLAGS[f].metavar}]"))]
+        for name, entry in modradical.cli.COMMANDS.items()}
+    assert all(entry.flags[:2] == report for entry in modradical.cli.COMMANDS.values())
 
 
 # -- error handling ------------------------------------------------------------------

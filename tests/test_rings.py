@@ -137,6 +137,19 @@ def test_make_gf_tabulates_exactly_the_irreducible_polys(monkeypatch, p, k):
     assert len(accepted) == size - len(reducible)
 
 
+def test_tabulate_sets_up_a_ring_only_on_a_cache_miss(monkeypatch):
+    # operations() holds the set-up a hit skips: make_gf's field check, make_product's parts
+    monkeypatch.setattr(rings, "_RING_CACHE", {})
+    calls = []
+
+    def operations():
+        calls.append("Z/3")
+        return (lambda a, b: (a + b) % 3), (lambda a, b: a * b % 3)
+
+    ring = rings._tabulate("Z/3", 3, operations)
+    assert rings._tabulate("Z/3", 3, operations) is ring and calls == ["Z/3"]
+
+
 def test_make_gf_rejects_non_monic():
     with pytest.raises(RingConstructionError):
         make_gf(3, 2, [1, 1, 2])
