@@ -13,7 +13,6 @@ safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse
 from math import isqrt, prod
 from typing import Sequence
 
@@ -365,45 +364,82 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
 
     ``cyclic_of(x)`` is the member set of the cyclic object (principal ideal,
     cyclic submodule) generated by ``x``; ``row_of`` is as in
-    :func:`additive_closure`.  From ``{zero}``, known sets are joined breadth
-    first with every cyclic set not inside them until nothing new appears; a
-    new set takes its parent's generators plus the least ``x`` generating the
-    cyclic set it added.  Returns ``(members, generators)`` pairs sorted by
-    (size, member list).
+    :func:`additive_closure`.  The distinct cyclic sets are numbered in
+    (size, member list) order, and ``gens[i]`` is the least ``x`` whose
+    cyclic set is ``C_i``.  From ``{zero}``, the sets of a frontier are joined
+    breadth first with cyclic sets; a set ``J`` first reached as ``S + C_i``
+    records the index tuple ``t + (i,)``, where ``t`` is the tuple of ``S``.
+    ``gens`` is one-to-one, so a tuple is kept as its generators, which are
+    also the set's generators.  Returns ``(members, generators)`` pairs
+    sorted by (size, member list).
 
-    From a set ``S`` the cyclic sets are walked in (size, member list) order,
-    skipping each one inside ``S`` or inside a join ``S + C`` already computed
-    from ``S``, so the closure kernel runs once per distinct join.  A set
-    marks the cyclic sets ``cyclic_of(y)`` of its members ``y``.  The skip is
-    exact under two preconditions: the cyclic sets are sorted by size first,
-    and ``cyclic_of(x)`` is ``Rx`` over a commutative unital ring.  Then every
-    set met is closed under R and ``x`` is in ``Rx``, so a set marks exactly
-    the cyclic sets inside it; and ``R(rx) = r*Rx`` is no larger than ``Rx``.
-    A cyclic set ``Ry`` inside ``S + Rx`` has ``y = s + rx`` with ``s`` in
-    ``S``, so its join with ``S`` is ``S + R(rx)``: either ``S + Rx`` itself,
-    or the join of a smaller cyclic set, sorted earlier and so already
-    reached.  Each join is thus computed from the first cyclic set in order
-    that gives it, and gets the generators of a walk over every cyclic set.
+    A set ``S`` with tuple ``t`` and a cyclic set ``C_i`` are joined only when
+    three things hold: (1) ``i`` is a later new sibling of ``S``, that is
+    ``i`` comes after ``t[-1]`` and ``t[:-1] + (i,)`` is recorded; (2)
+    dropping any other one element of ``t`` and appending ``i`` also gives a
+    recorded tuple; (3) ``gens[i]`` is not in ``reached``, the union of ``S``
+    and the joins computed from ``S`` so far.  Frontiers and candidates are
+    walked in lexicographic order of their tuples.  This is exact when the
+    cyclic sets are sorted by size first and ``cyclic_of(x)`` is ``Rx`` over
+    a commutative unital ring ``R``, so that every set met is closed under R:
+
+    (a) The recorded tuple of ``J`` is the lexicographically least among the
+        shortest tuples whose join is ``J``: by induction on the frontier,
+        which stays in lexicographic order, the first tried pair that gives
+        ``J`` is the least, as (c) shows it is tried.  That tuple is strictly
+        increasing, because sorting it gives a tuple with the same join
+        that is no larger.
+    (b) Dropping any one element ``d`` from a recorded tuple leaves a
+        recorded tuple.  Were there a shorter or smaller tuple ``u`` for the
+        rest, with join ``T``, then ``T + C_d = J`` and ``sorted(u + (d,))``
+        would be shorter than the original, or lexicographically smaller
+        whether the first difference falls before, at or after the place of
+        ``d``; that contradicts (a).
+    (c) So if ``t + (i,)`` is the recorded tuple of ``J``, ``S`` is recorded
+        with ``t`` and (1) and (2) hold by (b).  Were ``gens[i]`` in ``S``,
+        ``J`` would be ``S``.  Were it in ``S + C_j`` for an earlier ``j``,
+        then ``gens[i] = s + r*gens[j]`` with ``s`` in ``S`` and ``S + C_i =
+        S + R(r*gens[j])``; ``R(r*gens[j])`` is ``C_j`` or a smaller cyclic
+        set, sorted before it, so ``J = S + C_k`` for some ``k < i`` and
+        ``sorted(t + (k,))`` would be a shorter or smaller tuple of ``J``.
+        So (3) holds, the first pair in order that gives each join is still
+        tried, and the generators are those of a walk that joins every set
+        with every cyclic set.
+
+    A frontier entry holds the list of its parent's new children, shared with
+    its siblings, and the offset of its later siblings in that list.  Tests
+    (1) and (2) read only tuples as long as the frontier's, so the tuples of
+    one level are kept until the next level is built.
     """
     first_gen: dict[frozenset[int], int] = {}
-    least = [first_gen.setdefault(cyclic_of(x), x) for x in range(size)]
+    for x in range(size):
+        first_gen.setdefault(cyclic_of(x), x)
     cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
     gens = [first_gen[C] for C in cyclics]
-    ci = list(map({x: i for i, x in enumerate(gens)}.__getitem__, least))
     zero_ms = frozenset({zero})
     gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
-    frontier = [zero_ms]
+    recorded = {()}
+    frontier = [(zero_ms, range(len(cyclics)), 0)]
     while frontier:
-        nxt = []
-        for S in frontier:
-            done = set(map(ci.__getitem__, S))
-            for i in filterfalse(done.__contains__, range(len(cyclics))):
+        nxt, found = [], set()
+        for S, siblings, start in frontier:
+            t = gens_of[S]
+            reached = set(S)
+            children: list[int] = []
+            for k in range(start, len(siblings)):
+                i = siblings[k]
+                g = gens[i]
+                if g in reached or not all(t[:p] + t[p + 1:] + (g,) in recorded
+                                           for p in range(len(t) - 1)):
+                    continue
                 J = frozenset(additive_closure(S, cyclics[i], row_of))
-                done.update(map(ci.__getitem__, J))
+                reached.update(J)
                 if J not in gens_of:
-                    gens_of[J] = gens_of[S] + (gens[i],)
-                    nxt.append(J)
-        frontier = nxt
+                    gens_of[J] = u = t + (g,)
+                    found.add(u)
+                    children.append(i)
+                    nxt.append((J, children, len(children)))
+        frontier, recorded = nxt, found
     return sorted(gens_of.items(), key=lambda item: (len(item[0]), sorted(item[0])))
 
 
@@ -493,9 +529,12 @@ def nilpotent_radical_of_ideal(I: Ideal) -> Ideal:
 
 
 def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
-    """Every ideal of ``ring``, found by join-closure over principal ideals.
+    """Every ideal of ``ring``, found by the lattice walk :func:`lattice_by_joins`
+    over principal ideals, which the submodule lattice also uses.
 
-    Results are sorted by (size, member list), smallest first.
+    Results are sorted by (size, member list), smallest first; each ideal's
+    generators are the least generators of its least shortest tuple of
+    principal ideals, in the walk's order.
     """
     joins = lattice_by_joins(
         ring.size, ring.zero,

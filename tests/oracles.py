@@ -7,7 +7,7 @@ library under test.  Feasible only at toy sizes, which is the point.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 
 def all_ideal_sets(ring) -> list[frozenset[int]]:
@@ -45,13 +45,21 @@ def additive_span(ring, elements) -> frozenset[int]:
 def pairwise_span(elements, add) -> frozenset[int]:
     """Closure of the non-empty ``elements`` under ``add``, by adding every
     pair of members until nothing new appears (in a finite group that closure
-    is the subgroup they generate)."""
+    is the subgroup they generate).  Each round adds the members found in the
+    last one to every member; addition is commutative, so those are all the
+    sums not formed yet."""
     out = set(elements)
-    while True:
-        new = {add(a, b) for a in out for b in out} - out
-        if not new:
-            return frozenset(out)
+    new = set(out)
+    while new:
+        new = {add(a, b) for a in new for b in out} - out
         out |= new
+    return frozenset(out)
+
+
+def tabulated(op, size):
+    """``op`` on ``0..size-1``, read from a table filled by one call per pair."""
+    table = [[op(a, b) for b in range(size)] for a in range(size)]
+    return lambda a, b: table[a][b]
 
 
 def preimage_span(module, lifted, sub_members) -> frozenset[int]:
@@ -73,6 +81,7 @@ def breadth_first_joins(size, zero, add, scale, scalars):
     set was added, and joins the next frontier.  Returns ``(sorted members,
     generators)`` pairs sorted by (size, member list).
     """
+    add = tabulated(add, size)
     first_gen = {}
     for x in range(size):
         first_gen.setdefault(frozenset(scale(r, x) for r in scalars), x)
@@ -92,6 +101,43 @@ def breadth_first_joins(size, zero, add, scale, scalars):
         frontier = nxt
     return sorted(((sorted(ms), gens) for ms, gens in gens_of.items()),
                   key=lambda item: (len(item[0]), item[0]))
+
+
+def least_generator_tuples(module) -> dict[frozenset[int], tuple[int, ...]]:
+    """Each submodule with the generators of its least tuple of cyclic sets.
+
+    The cyclic sets ``{r*x}`` are sorted by (size, member list), each with the
+    least ``x`` that generates it.  Increasing tuples of them are tried
+    shortest first and, within one length, in lexicographic order; a
+    submodule keeps the first tuple whose pairwise span it is.  Once a length
+    brings no new submodule, no longer tuple can: dropping one cyclic set from
+    a shortest tuple leaves a shortest tuple of the smaller span.
+    """
+    first_gen = {}
+    for x in range(module.element_count):
+        first_gen.setdefault(frozenset(module.scale_i(r, x) for r in range(module.ring.size)), x)
+    cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
+    add = tabulated(module.add_i, module.element_count)
+    least = {}
+    for k in count():
+        found = False
+        for combo in combinations(cyclics, k):
+            span = pairwise_span(set().union({module.zero_index}, *combo), add)
+            if span not in least:
+                least[span] = tuple(first_gen[C] for C in combo)
+                found = True
+        if not found:
+            return least
+
+
+def truncated_xy_operations():
+    """Addition and multiplication of F2[x,y]/(x,y)^2, a local ring whose
+    maximal ideal (x, y) is not principal; a + b*x + c*y has code a + 2b + 4c."""
+    def mul(u, v):
+        u0, u1, u2 = u & 1, u >> 1 & 1, u >> 2 & 1
+        v0, v1, v2 = v & 1, v >> 1 & 1, v >> 2 & 1
+        return u0 * v0 + 2 * ((u0 * v1 + u1 * v0) % 2) + 4 * ((u0 * v2 + u2 * v0) % 2)
+    return (lambda u, v: u ^ v), mul
 
 
 def smallest_ideal_containing(ring, gens) -> frozenset[int]:

@@ -35,6 +35,11 @@ from modradical.rings import (
 import oracles
 
 
+def xy_ring():
+    """F2[x,y]/(x,y)^2, tabulated from the oracle's operations."""
+    return rings._tabulate("F2[x,y]/(x,y)^2", 8, oracles.truncated_xy_operations)
+
+
 def rows_built(M, build):
     """Keys of the rows of kind ``build`` in the derived table of ``M``."""
     return [key for b, key in M.derived if b is build]
@@ -376,6 +381,11 @@ def test_enumerate_submodules_matches_subset_oracle():
     pytest.param(lambda: free_module(make_zn(6), 2), id="z6-rank2"),
     pytest.param(lambda: free_module(make_product([make_zn(2), make_zn(4)]), 2),
                  id="z2z4-rank2"),
+    pytest.param(lambda: free_module(make_gf(2, 2, [1, 1, 1]), 2), id="gf4-rank2"),
+    pytest.param(lambda: presented_module(make_product([make_zn(2), make_zn(4)]), 2, [(1, 2)]),
+                 id="z2z4-rank2-mod-12"),
+    # over a local ring whose maximal ideal is not principal
+    pytest.param(lambda: free_module(xy_ring(), 2), id="xy-rank2"),
 ])
 def test_enumerate_submodules_matches_breadth_first_reference(make_module):
     M = make_module()
@@ -385,25 +395,55 @@ def test_enumerate_submodules_matches_breadth_first_reference(make_module):
     assert got == expected
 
 
-@pytest.mark.parametrize("ring, rank, distinct_joins", [
-    # 13 lines from zero, 4 planes above each line, the whole space above each plane
-    (make_zn(3), 3, 13 + 13 * 4 + 13 * 1),
-    (make_product([make_zn(2), make_zn(4)]), 2, 552),
+@pytest.mark.parametrize("make_module", [
+    pytest.param(lambda: free_module(make_zn(6), 2), id="z6-rank2"),
+    pytest.param(lambda: free_module(make_product([make_zn(2), make_zn(4)]), 1),
+                 id="z2z4-rank1"),
+    pytest.param(lambda: free_module(make_zn(3), 3), id="z3-rank3"),
+    pytest.param(lambda: free_module(make_zn(2), 4), id="z2-rank4"),
+    pytest.param(lambda: presented_module(make_zn(4), 2, [(2, 2)]), id="z4-rank2-mod-22"),
+    pytest.param(lambda: free_module(xy_ring(), 1), id="xy-rank1"),
+])
+def test_listed_generators_are_the_least_shortest_cyclic_tuples(make_module):
+    M = make_module()
+    got = {N.member_indices: N.generator_indices for N in enumerate_submodules(M)}
+    assert got == oracles.least_generator_tuples(M)
+
+
+@pytest.mark.parametrize("ring, rank, distinct_joins, closures", [
+    # 13 lines from zero, 4 planes above each line, the whole space above each plane.
+    # The walk joins 13 times from zero, once per line; 39 times from the lines, as
+    # each of the 13 planes is joined from each of its 4 lines but the last in the
+    # cyclic order; and once from the planes.  In that order the lines are 1-13,
+    # and lines 1-4 make up the plane x = 0.  Every other plane is recorded as a
+    # pair (a, b) with b >= 5, and for a later line c the plane through lines b
+    # and c meets x = 0 in a line before b, so (b, c) is not recorded.  The plane
+    # x = 0 reaches the whole space with its first join.
+    (make_zn(3), 3, 13 + 13 * 4 + 13 * 1, 13 + 13 * 3 + 1),
+    (make_product([make_zn(2), make_zn(4)]), 2, 552, 307),
 ], ids=["z3-rank3", "z2z4-rank2"])
-def test_lattice_computes_each_distinct_join_once(monkeypatch, ring, rank, distinct_joins):
+def test_lattice_joins_only_candidates_with_recorded_subtuples(monkeypatch, ring, rank,
+                                                               distinct_joins, closures):
     # built directly, so not interned: nothing about its lattice is cached yet
     M = ModulePresentation(ring, rank)
-    calls = []
+    computed = []
     closure = rings.additive_closure
-    monkeypatch.setattr(rings, "additive_closure",
-                        lambda *args: calls.append(args) or closure(*args))
+
+    def record(start, gens, row_of):
+        members = closure(start, gens, row_of)
+        computed.append((frozenset(start), frozenset(members)))
+        return members
+
+    monkeypatch.setattr(rings, "additive_closure", record)
     subs = [N.member_indices for N in enumerate_submodules(M)]
     cyclics = {frozenset(M.scale_i(r, x) for r in range(ring.size))
                for x in range(M.element_count)}
-    joins = {(S, oracles.pairwise_span(S | C, M.add_i))
-             for S in subs for C in cyclics if not C <= S}
+    add = oracles.tabulated(M.add_i, M.element_count)
+    joins = {(S, oracles.pairwise_span(S | C, add)) for S in subs for C in cyclics if not C <= S}
     assert len(joins) == distinct_joins
-    assert len(calls) == len(joins)
+    assert len(computed) == closures < distinct_joins
+    # no join is computed twice from one set
+    assert len(set(computed)) == closures
 
 
 def test_enumerate_submodules_closure_invariants(z4_plane):

@@ -332,10 +332,15 @@ def test_is_ideal_members_matches_oracle_on_every_subset(descriptor):
     assert verdicts.count(True) == len(oracles.all_ideal_sets(ring))
 
 
-@pytest.mark.parametrize("descriptor", ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)",
-                                        "Z/36", "product(Z/4, Z/4)"])
-def test_enumerate_ideals_matches_breadth_first_reference(descriptor):
-    ring = parse_ring_descriptor(descriptor)
+@pytest.mark.parametrize("make_ring", [
+    *(pytest.param(lambda d=d: parse_ring_descriptor(d), id=d)
+      for d in ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)", "Z/36", "product(Z/4, Z/4)"]),
+    # a local ring whose maximal ideal is not principal
+    pytest.param(lambda: rings._tabulate("F2[x,y]/(x,y)^2", 8, oracles.truncated_xy_operations),
+                 id="F2[x,y]/(x,y)^2"),
+])
+def test_enumerate_ideals_matches_breadth_first_reference(make_ring):
+    ring = make_ring()
     expected = oracles.breadth_first_joins(ring.size, ring.zero, ring.add, ring.mul,
                                            range(ring.size))
     assert [(sorted(I.members), I.generators) for I in enumerate_ideals(ring)] == expected
