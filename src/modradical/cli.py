@@ -9,7 +9,6 @@ claim passed), 1 when ``verify`` found counterexamples, the methods of
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -270,7 +269,7 @@ def _run_verify(_: None, flags: SimpleNamespace) -> tuple[dict, int]:
     else:
         spec = DEFAULT_CORPUS_SPEC
     if flags.seed is not None:
-        spec = replace(spec, seed=flags.seed)
+        spec = spec._replace(seed=flags.seed)
     report = verify_all(spec)
     data = verify_report_data(report, include_timing=flags.format == "text")
     return data, (0 if report.ok else 1)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .instance import (
     InstanceFile,
@@ -65,8 +66,7 @@ CLAIM_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """Deterministic recipe for an instance corpus.
 
     ``rings`` hold descriptor strings; ``relation_strategies`` are a subset
@@ -95,8 +95,7 @@ DEFAULT_CORPUS_SPEC = CorpusSpec(
 )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One corpus entry: a module, the submodules selected for it and the
     relations the spec requested, which its id and findings print."""
 
@@ -169,8 +168,7 @@ def _select_submodules(spec: CorpusSpec, module: ModulePresentation,
 # -- findings ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """A failed check, serialized so it can be rebuilt and re-run."""
 
     claim_id: str
@@ -187,7 +185,7 @@ class Finding:
 
 
 def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
-    return render_instance(InstanceFile(inst.module.ring, inst.module, inst.relations, subs))
+    return render_instance(InstanceFile(inst.module.ring, inst.module, inst.relations, subs, {}))
 
 
 # -- per-claim unit checks -----------------------------------------------------------
@@ -392,18 +390,15 @@ def _replay_check(claim_id: str, module, subs):
 # -- the certification run ------------------------------------------------------------
 
 
-@dataclass
-class ClaimResult:
-    claim_id: str
-    checked: int = 0
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    findings: list[Finding] = field(default_factory=list)
+class ClaimResult(SimpleNamespace):
+    """One claim's tallies and findings, which ``verify_all`` counts up in place."""
+
+    def __init__(self, claim_id: str, checked=0, passed=0, failed=0, skipped=0, findings=None):
+        super().__init__(claim_id=claim_id, checked=checked, passed=passed, failed=failed,
+                         skipped=skipped, findings=[] if findings is None else findings)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     spec: CorpusSpec
     instances: int
     submodules: int
@@ -416,10 +411,7 @@ class VerificationReport:
 
     @property
     def findings(self) -> tuple[Finding, ...]:
-        out = []
-        for c in self.claims:
-            out.extend(c.findings)
-        return tuple(out)
+        return tuple(f for c in self.claims for f in c.findings)
 
 
 def verify_all(spec: CorpusSpec) -> VerificationReport:

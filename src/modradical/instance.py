@@ -17,7 +17,7 @@ read by :meth:`_Cursor.items`.  Parse errors carry line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .modules import (
     DEFAULT_ELEMENT_BOUND,
@@ -40,8 +40,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class InstanceFile:
+class InstanceFile(NamedTuple):
     """A parsed and constructed instance: ring, module, named declarations.
 
     ``relations`` are the relation vectors the module line gave.  The module
@@ -52,8 +51,8 @@ class InstanceFile:
     ring: FiniteRing
     module: ModulePresentation
     relations: tuple[tuple[int, ...], ...]
-    submodules: dict[str, Submodule] = field(default_factory=dict)
-    elements: dict[str, ModuleElement] = field(default_factory=dict)
+    submodules: dict[str, Submodule]
+    elements: dict[str, ModuleElement]
 
 
 class _Cursor:

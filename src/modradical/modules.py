@@ -16,7 +16,7 @@ immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, product as _cartesian
 from typing import Iterator, Sequence
 
@@ -290,21 +290,26 @@ def _lattice(M: ModulePresentation, _) -> list[Submodule]:
     return [Submodule(M, ms, gens) for ms, gens in joins]
 
 
-@dataclass(frozen=True)
-class ModuleElement:
+class ModuleElement(namedtuple("ModuleElement", "module rep")):
     """A module element: its module plus the canonical representative vector."""
 
-    module: ModulePresentation
-    rep: tuple
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so that _replace validates too
 
-    def __post_init__(self):
-        if not self.module._is_rep(self.rep):
-            raise ValueError(f"{self.rep} is not a canonical representative")
+    def __new__(cls, module: ModulePresentation, rep: tuple):
+        if not module._is_rep(rep):
+            raise ValueError(f"{rep} is not a canonical representative")
+        return super().__new__(cls, module, rep)
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         m = self.module
         i = m.add_i(m.index_of(self), m.index_of(other))
         return ModuleElement(m, m.elements[i])
+
+    def __radd__(self, other):   # else tuple + element would concatenate, element * k repeat
+        raise TypeError(f"unsupported operand types: {self!r} and {type(other).__name__}")
+
+    __mul__ = __radd__
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + (-other)

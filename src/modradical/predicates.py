@@ -14,8 +14,7 @@ witnesses of its predecessor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .modules import (
     DEFAULT_LATTICE_BOUND,
@@ -28,8 +27,7 @@ from .modules import (
 )
 
 
-@dataclass(frozen=True)
-class PredicateWitness:
+class PredicateWitness(NamedTuple):
     """The data of one predicate violation.
 
     ``kind`` selects the definition being violated; ``r`` / ``m`` are the
@@ -82,8 +80,7 @@ def _reps(M: ModulePresentation, indices) -> tuple:
     return tuple(els[i] for i in sorted(indices))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A boolean predicate outcome plus the witness when it is false."""
 
     holds: bool
@@ -193,8 +190,7 @@ def is_cimpric_semiprime(N: Submodule) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class NotionRow:
+class NotionRow(NamedTuple):
     """One line of a notion-comparison table."""
 
     submodule: Submodule

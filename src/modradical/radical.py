@@ -11,7 +11,6 @@ chain step's witnesses are the semiprime witnesses of its predecessor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
@@ -41,8 +40,7 @@ class RadicalStep(NamedTuple):
     witnesses: tuple[PredicateWitness, ...]
 
 
-@dataclass(frozen=True)
-class RadicalTrace:
+class RadicalTrace(NamedTuple):
     """The full chain of one iterated-radical run.
 
     Step i (1-based) is the i-th chain member.  The steps end at the first

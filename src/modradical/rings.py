@@ -12,9 +12,9 @@ safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import isqrt, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 # Ring axioms are verified by full enumeration up to this size; all the stock
 # corpus rings are far below it.
@@ -147,16 +147,16 @@ class FiniteRing:
         return f"FiniteRing({self.descriptor})"
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(namedtuple("RingElement", "ring code")):
     """A ring element: a reference to its ring plus the canonical encoding."""
 
-    ring: FiniteRing
-    code: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))   # so that _replace validates too
 
-    def __post_init__(self):
-        if not 0 <= self.code < self.ring.size:
-            raise ValueError(f"code {self.code} out of range for {self.ring.descriptor}")
+    def __new__(cls, ring: FiniteRing, code: int):
+        if not 0 <= code < ring.size:
+            raise ValueError(f"code {code} out of range for {ring.descriptor}")
+        return super().__new__(cls, ring, code)
 
     def _coerce(self, other) -> int:
         if isinstance(other, RingElement):
@@ -167,6 +167,8 @@ class RingElement:
             if not 0 <= other < self.ring.size:
                 raise ValueError(f"code {other} out of range for {self.ring.descriptor}")
             return other
+        if type(other) is tuple:   # tuple + element would concatenate
+            raise TypeError(f"cannot combine a tuple with {self!r}")
         return NotImplemented
 
     def __add__(self, other):
@@ -310,13 +312,21 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
 # -- ideals -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     """An ideal as its full member set plus the generators that produced it."""
 
     ring: FiniteRing
     members: frozenset[int]
-    generators: tuple[int, ...] = field(compare=False, default=())
+    generators: tuple[int, ...] = ()
+
+    def __eq__(self, other) -> bool:   # on (ring, members), as is the hash
+        return self[:2] == other[:2] if isinstance(other, Ideal) else NotImplemented
+
+    def __ne__(self, other) -> bool:
+        return self[:2] != other[:2] if isinstance(other, Ideal) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def __contains__(self, r) -> bool:
         if isinstance(r, RingElement):

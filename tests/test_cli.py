@@ -11,10 +11,11 @@ import pytest
 
 import modradical.cli
 import modradical.instance
-from modradical import predicates, radical
+from modradical import harness, predicates, radical
 from modradical.cli import main
 from modradical.instance import parse_instance
 from modradical.modules import ModulePresentation, full_submodule, zero_submodule
+from modradical.predicates import Verdict
 from modradical.rings import make_zn
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,6 +106,21 @@ def test_text_mode_radical(capsys):
     assert "methods agree: yes" in out
 
 
+def test_text_mode_radical_trace(capsys):
+    code, out, err = run_cli(capsys, "radical-trace", str(GOLDEN / "z4sq_torsion.instance"), "N")
+    assert code == 0 and err == ""
+    assert out == (
+        "radical-trace: ring Z/4, module rank=2 relations=[]\n"
+        "start N = [(0,0),(2,0)]\n"
+        "step 1: members [(0,0),(0,2),(2,0),(2,2)]\n"
+        "  new: [(0,2),(2,2)]\n"
+        "  qualifier m=(0,2): colon [0,2], colon*M [(0,0),(0,2),(2,0),(2,2)]\n"
+        "  qualifier m=(2,2): colon [0,2], colon*M [(0,0),(0,2),(2,0),(2,2)]\n"
+        "step 2: members [(0,0),(0,2),(2,0),(2,2)]\n"
+        "  new: []\n"
+        "fixpoint at index 2: [(0,0),(0,2),(2,0),(2,2)]\n")
+
+
 def test_radical_exits_one_when_methods_disagree(capsys, monkeypatch):
     monkeypatch.setattr(modradical.cli, "radical_by_iteration",
                         lambda N: (full_submodule(N.module), None))
@@ -151,6 +167,24 @@ def test_verify_small_spec_exits_zero(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
     assert code == 0
     assert "all claims pass" in out
+
+
+def test_text_mode_verify_prints_each_finding_with_its_instance(tmp_path, capsys, monkeypatch):
+    # a primeness test that holds everywhere makes the zero submodule of Z/4,
+    # which is not semiprime, a prime one that is not semiprime
+    monkeypatch.setattr(harness, "is_prime_submodule", lambda N: Verdict(True))
+    spec = tmp_path / "tiny.spec"
+    spec.write_text("rings Z/4\nmax_rank 1\nstrategies free\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
+    assert code == 1
+    lines = out.splitlines()
+    assert "  PROP-PRIME-IMPLIES-SP: checked=3 passed=2 failed=1 skipped=0" in lines
+    assert "counterexamples: 1" in lines
+    finding = lines.index("FINDING [PROP-PRIME-IMPLIES-SP]: prime submodule is not semiprime")
+    assert lines[finding + 1:finding + 4] == [
+        "    ring Z/4", "    module rank=1 relations=[]", "    submodule N gens=[]"]
+    assert lines[finding + 4].startswith("wall time: ")
+    assert lines[-1] == "result: FAILURES FOUND"
 
 
 def test_verify_structured_omits_timing(tmp_path, capsys):
@@ -339,10 +373,10 @@ def test_rejected_argument_forms(capsys, argv, message):
     assert usage.startswith("usage: modradical ") and error.startswith(message)
 
 
-def test_importing_the_cli_leaves_argparse_and_gettext_unloaded():
-    # both cost milliseconds on every command line
+def test_importing_the_cli_leaves_argparse_gettext_dataclasses_and_inspect_unloaded():
+    # each costs milliseconds on every command line; dataclasses loads inspect
     code = ("import sys, modradical.cli; "
-            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+            "print(sorted({'argparse', 'gettext', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout

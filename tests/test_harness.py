@@ -237,6 +237,51 @@ def test_verify_surfaces_a_shrinking_chain_as_the_library_error(monkeypatch):
         verify_all(spec_of(rings=("Z/4",), max_rank=1))
 
 
+def _witnesses_with_a_wrong_colon(N):
+    fixpoint, trace = radical.radical_by_iteration(N)
+    return fixpoint, trace._replace(steps=tuple(
+        step._replace(witnesses=tuple(w._replace(colon_members=()) for w in step.witnesses))
+        for step in trace.steps))
+
+
+def _semiprime_flipped_for_the_radical_claim(N):
+    # every claim asks whether N is semiprime; only THM-RADICAL-EQ-SEMIPRIME hears a lie
+    verdict = predicates.is_semiprime_submodule(N)
+    if sys._getframe(1).f_code is harness._check_radical_eq.__code__:
+        return Verdict(not verdict.holds)
+    return verdict
+
+
+@pytest.mark.parametrize("name,fault,claim_id,checked,failed,detail", [
+    ("is_prime_submodule", lambda N: Verdict(True),
+     "PROP-PRIME-IMPLIES-SP", 15, 1, r"prime submodule is not semiprime"),
+    ("is_cimpric_semiprime", lambda N: Verdict(False),
+     "PROP-FREE-EQUIV", 7, 6, r"semiprime and coordinate conditions disagree on a free module"),
+    ("intersect", lambda N1, N2: modules.zero_submodule(N1.module),
+     "PROP-INTERSECTION", 10, 1, r"intersection of two semiprime submodules is not semiprime"),
+    ("radical_by_iteration", _witnesses_with_a_wrong_colon,
+     "THM-ITERATION", 15, 1, r"step 1 witness \(2\) does not replay"),
+    ("smallest_semiprime_over", lambda N, bound: modules.full_submodule(N.module),
+     "THM-RADICAL-EQ-SEMIPRIME", 15, 8,
+     r"radical differs from the smallest semiprime overmodule: \[[(),0-9]*\] vs \[[(),0-9]*\]"),
+    ("is_semiprime_submodule", _semiprime_flipped_for_the_radical_claim,
+     "THM-RADICAL-EQ-SEMIPRIME", 15, 8,
+     r"semiprime does not coincide with being a radical submodule"),
+])
+def test_each_claim_failure_surfaces_as_a_finding_that_replays(
+        monkeypatch, name, fault, claim_id, checked, failed, detail):
+    monkeypatch.setattr(harness, name, fault)
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tally = by_id.pop(claim_id)
+    assert (tally.checked, tally.failed) == (checked, failed) and not report.ok
+    assert all(re.fullmatch(detail, f.detail) for f in tally.findings)
+    assert all(c.failed == 0 for c in by_id.values())
+    assert all(f.replay() for f in tally.findings)
+    monkeypatch.undo()
+    assert not any(f.replay() for f in tally.findings)
+
+
 def test_verify_gating_with_lattice_bound_zero():
     report = verify_all(spec_of(rings=("Z/4",), max_rank=1,
                                 relation_strategies=("free",),

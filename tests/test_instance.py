@@ -209,3 +209,45 @@ def test_instance_lists_reject_what_the_one_list_rule_rejects(text, line, col, m
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text,line,col,message", [
+    ("ring Z/4\nring Z/2\n", 2, 5, "duplicate ring line"),
+    (Z4_PLANE + "module rank=1 relations=[]", 3, 7, "duplicate module line"),
+    ("ring Z/4\nsubmodule N gens=[]", 2, 10, "submodule line before module line"),
+    ("ring Z/4\n  element m = (1)", 2, 10, "element line before module line"),
+    (Z4_PLANE + "modul rank=1 relations=[]", 3, 1,
+     "unknown declaration 'modul' (expected ring, module, submodule, or element)"),
+    ("ring Z/4 x", 1, 10, "trailing text"),
+    (Z4_PLANE + "  submodule N gens=[(1,0)] (0,1)", 3, 28, "trailing text"),
+    ("", 1, 1, "missing ring line"),
+    ("# a comment\n\n", 1, 1, "missing ring line"),
+    ("ring Z/4\n", 1, 1, "missing module line"),
+    ("ring Z/1", 1, 6, "modulus must be an integer >= 2, got 1"),
+    ("ring product(Z/2, Z/0)", 1, 19, "modulus must be an integer >= 2, got 0"),
+    ("ring GF(4) poly=[1,0,1]", 1, 6,
+     "polynomial [1, 0, 1] is reducible over Z/2 (code 3 has no inverse)"),
+    (Z4_PLANE + "element m = ([1],0)", 3, 14,
+     "coefficient-list scalars are only defined over GF rings"),
+    (GF4_LINE + "element a = ([0,1,1])", 3, 14, "coefficient list longer than field degree 2"),
+    (GF4_LINE + "element a = ([1,2])", 3, 14, "coefficients must lie in 0..1"),
+    ("ring GF(9) poly=[1,0,1]\nmodule rank=1 relations=[]\nelement a = ([0,3])", 3, 14,
+     "coefficients must lie in 0..2"),
+])
+def test_instance_declarations_report_line_column_and_message(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("text,col", [("Z/4 x", 5), ("product(Z/2) Z/3", 14)])
+def test_ring_descriptor_rejects_trailing_text(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_ring_descriptor(text)
+    assert (err.value.line, err.value.col, err.value.message) == (
+        1, col, "trailing text after ring descriptor")
+
+
+def test_prime_field_without_a_polynomial_reduces_modulo_x():
+    assert parse_ring_descriptor("GF(5)") is parse_ring_descriptor("GF(5) poly=[0,1]")
+    assert parse_ring_descriptor("GF(5)").descriptor == "GF(5) poly=[0,1]"
