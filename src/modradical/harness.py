@@ -54,17 +54,6 @@ from .radical import (
 )
 from .rings import is_semiprime_ideal
 
-# One claim id per certified proposition/theorem; the manifest test pins this.
-CLAIM_IDS = (
-    "PROP-COLON-SEMIPRIME",
-    "PROP-FREE-EQUIV",
-    "PROP-INTERSECTION",
-    "PROP-PRIME-IMPLIES-SP",
-    "PROP-QUOTIENT-CORRESPONDENCE",
-    "THM-ITERATION",
-    "THM-RADICAL-EQ-SEMIPRIME",
-)
-
 
 class CorpusSpec(NamedTuple):
     """Deterministic recipe for an instance corpus.
@@ -178,10 +167,15 @@ class Finding(NamedTuple):
     def replay(self) -> bool:
         """Rebuild the instance from its serialized text and re-run the check.
 
-        True iff the check still fails, i.e. the finding reproduces.
+        True iff the check still fails, i.e. the finding reproduces.  The
+        checker is looked up in ``CLAIMS`` and then ``SEPARATIONS``.
         """
         inst = parse_instance(self.instance_text)
-        return _replay_check(self.claim_id, inst.module, inst.submodules) is not None
+        for (cid, _, _), check in (*CLAIMS.items(), *SEPARATIONS.items()):
+            if cid == self.claim_id:
+                bound = max(DEFAULT_LATTICE_BOUND, inst.module.element_count)
+                return check(inst.module, inst.submodules, bound, ()) is not None
+        raise ValueError(f"unknown claim id {self.claim_id!r}")
 
 
 def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
@@ -193,8 +187,8 @@ def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
 # Each checker takes the module, the named submodules of one unit, the lattice
 # bound (None when the instance's lattice was sampled, not enumerated) and the
 # instance's selected submodules, and returns a failure description or None.
-# ``verify_all``, ``Finding.replay`` and ``find_separation`` share them
-# through ``CLAIMS``.
+# ``verify_all`` and ``find_separation`` run them through ``_certify``, and
+# ``Finding.replay`` looks them up in ``CLAIMS`` and ``SEPARATIONS``.
 
 
 def _check_prime_implies_sp(module, subs, *_):
@@ -353,8 +347,7 @@ def _check_sep_semiprime_not_prime(module, subs, *_):
 # "free N" the same on free modules only, "N1,N2" each pair of semiprime
 # ones, "MP" each one taken as the kernel of a quotient.  A claim that needs
 # the full lattice is skipped, unit by unit, on instances whose lattice was
-# sampled.  SEP-SEMIPRIME-NOT-PRIME is a separation: ``find_separation``
-# looks for it and ``verify_all`` leaves it out.
+# sampled.  ``CLAIM_IDS`` lists the keys' claim ids; the manifest test pins it.
 CLAIMS = {
     ("PROP-COLON-SEMIPRIME", "N", False): _check_colon_semiprime,
     ("PROP-FREE-EQUIV", "free N", False): _check_free_equiv,
@@ -363,6 +356,12 @@ CLAIMS = {
     ("PROP-QUOTIENT-CORRESPONDENCE", "MP", False): _check_quotient,
     ("THM-ITERATION", "N", False): _check_iteration,
     ("THM-RADICAL-EQ-SEMIPRIME", "N", True): _check_radical_eq,
+}
+CLAIM_IDS = tuple(cid for cid, _, _ in CLAIMS)
+
+# Separations, keyed like ``CLAIMS``: ``find_separation`` looks for them.  A
+# "failure" is an observation that two notions differ, not a counterexample.
+SEPARATIONS = {
     ("SEP-SEMIPRIME-NOT-PRIME", "N", False): _check_sep_semiprime_not_prime,
 }
 
@@ -379,19 +378,11 @@ def _units(shape: str, module, subs) -> list[dict[str, Submodule]]:
     return [{"N": N} for N in subs]
 
 
-def _replay_check(claim_id: str, module, subs):
-    bound = max(DEFAULT_LATTICE_BOUND, module.element_count)
-    for (cid, _, _), check in CLAIMS.items():
-        if cid == claim_id:
-            return check(module, subs, bound, ())
-    raise ValueError(f"unknown claim id {claim_id!r}")
-
-
 # -- the certification run ------------------------------------------------------------
 
 
 class ClaimResult(SimpleNamespace):
-    """One claim's tallies and findings, which ``verify_all`` counts up in place."""
+    """One claim's tallies and findings, which ``_certify`` counts up in place."""
 
     def __init__(self, claim_id: str, checked=0, passed=0, failed=0, skipped=0, findings=None):
         super().__init__(claim_id=claim_id, checked=checked, passed=passed, failed=failed,
@@ -422,18 +413,21 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
     the sampled submodules.
     """
     t0 = time.perf_counter()
+    corpus, claims = _certify(spec, CLAIMS)
+    return VerificationReport(spec, len(corpus), sum(len(i.submodules) for i in corpus),
+                              claims, time.perf_counter() - t0)
+
+
+def _certify(spec: CorpusSpec, table: dict) -> tuple[list[Instance], tuple[ClaimResult, ...]]:
+    """Run every checker of ``table`` on its units of each instance of ``spec``'s
+    corpus, and tally each key's results, in the table's order."""
     corpus = expand_corpus(spec)
-    tallies = {cid: ClaimResult(cid) for cid in CLAIM_IDS}
-    total_submodules = 0
+    tallies = tuple(ClaimResult(cid) for cid, _, _ in table)
     for inst in corpus:
         module = inst.module
         subs = inst.submodules
-        total_submodules += len(subs)
         bound = spec.lattice_bound if inst.lattice_complete else None
-        for (cid, shape, needs_lattice), check in CLAIMS.items():
-            tally = tallies.get(cid)
-            if tally is None:
-                continue
+        for tally, ((cid, shape, needs_lattice), check) in zip(tallies, table.items()):
             units = _units(shape, module, subs)
             if needs_lattice and bound is None:
                 tally.skipped += len(units)
@@ -446,9 +440,7 @@ def verify_all(spec: CorpusSpec) -> VerificationReport:
                 else:
                     tally.failed += 1
                     tally.findings.append(Finding(cid, _serialize(inst, named), detail))
-    claims = tuple(tallies[cid] for cid in CLAIM_IDS)
-    return VerificationReport(spec, len(corpus), total_submodules, claims,
-                              time.perf_counter() - t0)
+    return corpus, tallies
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
@@ -527,11 +519,5 @@ def find_separation(spec: CorpusSpec) -> list[Finding]:
     semiprime N contains pM for the maximal ideal p, so it is prime; only
     non-local rings separate.
     """
-    out = []
-    for inst in expand_corpus(spec):
-        for N in inst.submodules:
-            named = {"N": N}
-            detail = _check_sep_semiprime_not_prime(inst.module, named)
-            if detail is not None:
-                out.append(Finding("SEP-SEMIPRIME-NOT-PRIME", _serialize(inst, named), detail))
-    return out
+    _, tallies = _certify(spec, SEPARATIONS)
+    return [f for tally in tallies for f in tally.findings]

@@ -224,16 +224,18 @@ def parse_instance(text: str,
     elements: dict[str, ModuleElement] = {}
 
     for cur in _lines(text):
+        cur.skip_ws()
+        at = cur.pos   # declaration-level errors point at the keyword
         keyword = cur.word()
         if keyword == "ring":
             if ring is not None:
-                cur.error("duplicate ring line")
+                cur.error("duplicate ring line", at)
             ring = _parse_descriptor(cur)
         elif keyword == "module":
             if ring is None:
-                cur.error("module line before ring line")
+                cur.error("module line before ring line", at)
             if module is not None:
-                cur.error("duplicate module line")
+                cur.error("duplicate module line", at)
             cur.take("rank")
             cur.take("=")
             rank = cur.integer()
@@ -243,7 +245,7 @@ def parse_instance(text: str,
             module = presented_module(ring, rank, relations, element_bound)
         elif keyword in ("submodule", "element"):
             if module is None:
-                cur.error(f"{keyword} line before module line")
+                cur.error(f"{keyword} line before module line", at)
             cur.skip_ws()
             name_col = cur.pos
             name = cur.word()
@@ -260,14 +262,15 @@ def parse_instance(text: str,
                 elements[name] = module.element(vec)
         else:
             cur.error(f"unknown declaration {keyword!r} "
-                      "(expected ring, module, submodule, or element)", 0)
+                      "(expected ring, module, submodule, or element)", at)
         if not cur.eol:
             cur.error("trailing text")
 
+    end = len(text.splitlines()) + 1   # a missing line is missing after the last
     if ring is None:
-        raise ParseError("missing ring line", 1, 1)
+        raise ParseError("missing ring line", end, 1)
     if module is None:
-        raise ParseError("missing module line", 1, 1)
+        raise ParseError("missing module line", end, 1)
     return InstanceFile(ring, module, relations, submodules, elements)
 
 

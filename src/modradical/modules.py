@@ -238,10 +238,6 @@ class ModulePresentation:
         """
         return self.derived[_ideal_action, codes]
 
-    def cyclic_members(self, i: int) -> frozenset[int]:
-        """Member indices of R*m for the element at index ``i``."""
-        return frozenset(row[i] for row in scaled_rows(self))
-
     # -- value semantics --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -286,7 +282,7 @@ def _ideal_action(M: ModulePresentation, codes: frozenset[int]) -> frozenset[int
 
 
 def _lattice(M: ModulePresentation, _) -> list[Submodule]:
-    joins = lattice_by_joins(M.element_count, M.zero_index, M.cyclic_members, M.add_row)
+    joins = lattice_by_joins(M.element_count, M.zero_index, scaled_rows(M), M.add_row)
     return [Submodule(M, ms, gens) for ms, gens in joins]
 
 

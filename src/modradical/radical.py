@@ -22,6 +22,7 @@ from .modules import (
     full_submodule,
     intersect,
     _grow,
+    _lattice,
 )
 from .predicates import (
     PredicateWitness,
@@ -114,8 +115,7 @@ def prime_submodules(M: ModulePresentation,
 
 
 def _prime_list(M: ModulePresentation, _) -> list[Submodule]:
-    return [P for P in enumerate_submodules(M, M.element_count)
-            if is_prime_submodule(P).holds]
+    return [P for P in M.derived[_lattice, None] if is_prime_submodule(P).holds]
 
 
 def radical_by_primes(N: Submodule,

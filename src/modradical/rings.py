@@ -369,19 +369,22 @@ def additive_closure(start, gens, row_of) -> set:
     return members
 
 
-def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
+def lattice_by_joins(size: int, zero: int, scalar_rows, row_of) -> list[tuple]:
     """Every subgroup that is a sum of cyclic ones, with the generators that reach it.
 
-    ``cyclic_of(x)`` is the member set of the cyclic object (principal ideal,
-    cyclic submodule) generated by ``x``; ``row_of`` is as in
-    :func:`additive_closure`.  The distinct cyclic sets are numbered in
-    (size, member list) order, and ``gens[i]`` is the least ``x`` whose
-    cyclic set is ``C_i``.  From ``{zero}``, the sets of a frontier are joined
-    breadth first with cyclic sets; a set ``J`` first reached as ``S + C_i``
-    records the index tuple ``t + (i,)``, where ``t`` is the tuple of ``S``.
-    ``gens`` is one-to-one, so a tuple is kept as its generators, which are
-    also the set's generators.  Returns ``(members, generators)`` pairs
-    sorted by (size, member list).
+    ``scalar_rows`` is the scalar action of a commutative unital ring ``R``:
+    ``scalar_rows[r][x] == r*x``.  The cyclic set of ``x`` is then
+    ``Rx = {row[x] for row in scalar_rows}`` (a principal ideal, a cyclic
+    submodule), which is already closed under addition, as
+    ``rx + sx = (r+s)x``; ``row_of`` is as in :func:`additive_closure`.  The
+    distinct cyclic sets are numbered in (size, member list) order, and
+    ``gens[i]`` is the least ``x`` whose cyclic set is ``C_i``.  From
+    ``{zero}``, the sets of a frontier are joined breadth first with cyclic
+    sets; a set ``J`` first reached as ``S + C_i`` records the index tuple
+    ``t + (i,)``, where ``t`` is the tuple of ``S``.  ``gens`` is one-to-one,
+    so a tuple is kept as its generators, which are also the set's
+    generators.  Returns ``(members, generators)`` pairs sorted by (size,
+    member list).
 
     A set ``S`` with tuple ``t`` and a cyclic set ``C_i`` are joined only when
     three things hold: (1) ``i`` is a later new sibling of ``S``, that is
@@ -389,9 +392,9 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
     dropping any other one element of ``t`` and appending ``i`` also gives a
     recorded tuple; (3) ``gens[i]`` is not in ``reached``, the union of ``S``
     and the joins computed from ``S`` so far.  Frontiers and candidates are
-    walked in lexicographic order of their tuples.  This is exact when the
-    cyclic sets are sorted by size first and ``cyclic_of(x)`` is ``Rx`` over
-    a commutative unital ring ``R``, so that every set met is closed under R:
+    walked in lexicographic order of their tuples.  This is exact because the
+    cyclic sets are sorted by size first and each is ``Rx``, so that every
+    set met is closed under R:
 
     (a) The recorded tuple of ``J`` is the lexicographically least among the
         shortest tuples whose join is ``J``: by induction on the frontier,
@@ -423,7 +426,7 @@ def lattice_by_joins(size: int, zero: int, cyclic_of, row_of) -> list[tuple]:
     """
     first_gen: dict[frozenset[int], int] = {}
     for x in range(size):
-        first_gen.setdefault(cyclic_of(x), x)
+        first_gen.setdefault(frozenset([row[x] for row in scalar_rows]), x)
     cyclics = sorted(first_gen, key=lambda ms: (len(ms), sorted(ms)))
     gens = [first_gen[C] for C in cyclics]
     zero_ms = frozenset({zero})
@@ -546,7 +549,5 @@ def enumerate_ideals(ring: FiniteRing) -> list[Ideal]:
     generators are the least generators of its least shortest tuple of
     principal ideals, in the walk's order.
     """
-    joins = lattice_by_joins(
-        ring.size, ring.zero,
-        lambda r: ideal_generate(ring, [r]).members, ring._add.__getitem__)
+    joins = lattice_by_joins(ring.size, ring.zero, ring._mul, ring._add.__getitem__)
     return [Ideal(ring, ms, gens) for ms, gens in joins]

@@ -463,13 +463,18 @@ def test_check_cimpric_rejects_non_free_instance(tmp_path, capsys):
 # -- benchmark tooling ------------------------------------------------------------------
 
 
-def test_benchmark_tracer_finds_every_target():
-    # perfbench wraps library functions by name; a renamed one would turn its
-    # per-layer metrics into null without failing anything
+def _benchmark_tracing():
     path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_finds_every_target():
+    # perfbench wraps library functions by name; a renamed one would turn its
+    # per-layer metrics into null without failing anything
+    tracing = _benchmark_tracing()
     tracer = tracing.Tracer("tier-1 guard")
     M = ModulePresentation(make_zn(4), 2)   # built directly: a cold table
     try:
@@ -485,3 +490,20 @@ def test_benchmark_tracer_finds_every_target():
     # derived values are built by private functions that the tracer leaves alone
     assert M.derived and all(build.__module__.startswith("modradical.")
                              for build, _ in M.derived)
+
+
+def test_benchmark_tracer_counts_every_claim_unit():
+    # the tracer spans a claim by rebinding the checker that is its CLAIMS
+    # value, so each span must see exactly the units verify_all counts
+    tracing = _benchmark_tracing()
+    assert set(tracing.CLAIM_CHECKERS) == set(harness.CLAIM_IDS)
+    tracer = tracing.Tracer("tier-1 guard")
+    try:
+        tracer.install()
+        report = harness.verify_all(harness.CorpusSpec(rings=("Z/4", "Z/6")))
+    finally:
+        tracer.uninstall()
+    per_name = tracer.summary()["per_name"]
+    assert {c.claim_id: c.checked for c in report.claims} == {
+        cid: per_name.get(f"harness.claim.{cid}", (0,))[0] for cid in harness.CLAIM_IDS}
+    assert all(c.checked for c in report.claims)

@@ -44,6 +44,19 @@ def test_claim_manifest_is_pinned():
         "THM-ITERATION",
         "THM-RADICAL-EQ-SEMIPRIME",
     )
+    assert CLAIM_IDS == tuple(cid for cid, _, _ in harness.CLAIMS)
+
+
+def test_every_claims_entry_is_certified_and_replayed(monkeypatch):
+    # a CLAIMS entry is run by verify_all without being listed anywhere else
+    monkeypatch.setitem(harness.CLAIMS, ("TEST-ZERO-IS-PROPER", "N", False),
+                        lambda module, subs, *_: None if subs["N"].is_proper else "full")
+    report = verify_all(spec_of(max_rank=1, relation_strategies=("free",)))
+    extra = report.claims[-1]
+    assert [c.claim_id for c in report.claims] == [*CLAIM_IDS, "TEST-ZERO-IS-PROPER"]
+    assert (extra.checked, extra.passed, extra.failed) == (3, 2, 1)
+    assert not report.ok
+    assert extra.findings[0].replay()
 
 
 # -- corpus expansion -----------------------------------------------------------
@@ -537,6 +550,12 @@ def test_finding_replay_catches_real_violations():
     text = "ring Z/6\nmodule rank=1 relations=[]\nsubmodule N gens=[]\n"
     real = Finding("SEP-SEMIPRIME-NOT-PRIME", text, "semiprime but not prime")
     assert real.replay()
+
+
+def test_finding_replay_rejects_an_unknown_claim_id():
+    text = "ring Z/4\nmodule rank=1 relations=[]\nsubmodule N gens=[]\n"
+    with pytest.raises(ValueError, match="unknown claim id 'NO-SUCH-CLAIM'"):
+        Finding("NO-SUCH-CLAIM", text, "").replay()
 
 
 # -- corpus spec files ----------------------------------------------------------------

@@ -212,17 +212,20 @@ def test_instance_lists_reject_what_the_one_list_rule_rejects(text, line, col, m
 
 
 @pytest.mark.parametrize("text,line,col,message", [
-    ("ring Z/4\nring Z/2\n", 2, 5, "duplicate ring line"),
-    (Z4_PLANE + "module rank=1 relations=[]", 3, 7, "duplicate module line"),
-    ("ring Z/4\nsubmodule N gens=[]", 2, 10, "submodule line before module line"),
-    ("ring Z/4\n  element m = (1)", 2, 10, "element line before module line"),
+    ("ring Z/4\nring Z/2\n", 2, 1, "duplicate ring line"),
+    (Z4_PLANE + "module rank=1 relations=[]", 3, 1, "duplicate module line"),
+    ("  module rank=1 relations=[]\nring Z/4", 1, 3, "module line before ring line"),
+    ("ring Z/4\nsubmodule N gens=[]", 2, 1, "submodule line before module line"),
+    ("ring Z/4\n  element m = (1)", 2, 3, "element line before module line"),
     (Z4_PLANE + "modul rank=1 relations=[]", 3, 1,
+     "unknown declaration 'modul' (expected ring, module, submodule, or element)"),
+    (Z4_PLANE + "\tmodul rank=1 relations=[]", 3, 2,
      "unknown declaration 'modul' (expected ring, module, submodule, or element)"),
     ("ring Z/4 x", 1, 10, "trailing text"),
     (Z4_PLANE + "  submodule N gens=[(1,0)] (0,1)", 3, 28, "trailing text"),
     ("", 1, 1, "missing ring line"),
-    ("# a comment\n\n", 1, 1, "missing ring line"),
-    ("ring Z/4\n", 1, 1, "missing module line"),
+    ("# a comment\n\n", 3, 1, "missing ring line"),
+    ("ring Z/4\n", 2, 1, "missing module line"),
     ("ring Z/1", 1, 6, "modulus must be an integer >= 2, got 1"),
     ("ring product(Z/2, Z/0)", 1, 19, "modulus must be an integer >= 2, got 0"),
     ("ring GF(4) poly=[1,0,1]", 1, 6,
