@@ -275,7 +275,7 @@ def parse_instance(text: str,
 
 
 def format_vec(vec) -> str:
-    return "(" + ",".join(str(c) for c in vec) + ")"
+    return "(" + ",".join(map(str, vec)) + ")"
 
 
 def format_vec_list(vecs) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, product as _cartesian
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .rings import (
     FiniteRing,
@@ -142,7 +142,6 @@ class ModulePresentation:
             for i in range(rank))
 
         self.derived = _Derived(self)
-        self._hash = hash((ring, rank, self.relation_members))
 
     # -- canonical forms ------------------------------------------------------
 
@@ -249,7 +248,7 @@ class ModulePresentation:
                 and self.relation_members == other.relation_members)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ring, self.rank, self.relation_members))
 
     def __repr__(self) -> str:
         rel = "" if self.is_free else f" mod <{len(self.relation_members)} relation vectors>"
@@ -325,22 +324,20 @@ class ModuleElement(namedtuple("ModuleElement", "module rep")):
         return f"{self.rep}@{self.module!r}"
 
 
-class Submodule:
+class Submodule(NamedTuple):
     """A submodule as an explicit member set plus the generators that built it.
 
     ``member_indices`` is a frozenset of element indices into the parent
     module; the public ``members``/``generators`` views give representative
-    vectors in lexicographic order.
+    vectors in lexicographic order.  Like an :class:`~modradical.rings.Ideal`,
+    it compares and hashes on (module, member_indices) alone.
     """
 
-    __slots__ = ("module", "member_indices", "generator_indices", "_hash")
+    module: ModulePresentation
+    member_indices: frozenset[int]
+    generator_indices: tuple[int, ...]
 
-    def __init__(self, module: ModulePresentation, member_indices: frozenset[int],
-                 generator_indices: tuple[int, ...]):
-        self.module = module
-        self.member_indices = member_indices
-        self.generator_indices = generator_indices
-        self._hash = hash((module._hash, member_indices))
+    __eq__, __ne__, __hash__ = Ideal.__eq__, Ideal.__ne__, Ideal.__hash__
 
     @property
     def members(self) -> tuple[tuple, ...]:
@@ -371,14 +368,6 @@ class Submodule:
 
     def issubset(self, other: "Submodule") -> bool:
         return self.member_indices <= other.member_indices
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Submodule):
-            return NotImplemented
-        return self.module == other.module and self.member_indices == other.member_indices
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Submodule({self.size} of {self.module.element_count} elements)"

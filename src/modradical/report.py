@@ -1,10 +1,11 @@
 """Deterministic report rendering.
 
-Structured mode flattens a report tree into sorted ``path = value`` lines:
-dictionary keys become dotted path segments, list items get 1-based numeric
-segments, and scalar lists render inline as ``[a,b,c]``.  The encoding is
-stable byte-for-byte for equal data, which is what the golden-file tests
-and the determinism checks rely on.
+Structured mode flattens a report tree into ``path = value`` lines sorted by
+path: dictionary keys become dotted path segments, numeric ones first and by
+value, list items get 1-based numeric segments, and scalar lists render
+inline as ``[a,b,c]``.  One walk writes the lines in that order.  The
+encoding is stable byte-for-byte for equal data, which is what the
+golden-file tests and the determinism checks rely on.
 """
 
 from __future__ import annotations
@@ -24,30 +25,31 @@ def _scalar(v) -> str:
     return str(v)
 
 
-def _flatten(value, path: tuple[str, ...], out: list):
-    if isinstance(value, dict):
-        if not value:
-            out.append((path, "{}"))
-            return
-        for k, v in value.items():
-            _flatten(v, path + (str(k),), out)
-    elif isinstance(value, (list, tuple)):
-        if all(_is_scalar(v) for v in value):
-            out.append((path, "[" + ",".join(_scalar(v) for v in value) + "]"))
-        else:
-            for i, v in enumerate(value, start=1):
-                _flatten(v, path + (str(i),), out)
-    else:
-        out.append((path, _scalar(value)))
-
-
 def _segment_key(seg: str):
     return (0, int(seg), "") if seg.isdigit() else (1, 0, seg)
 
 
+def _render(value, prefix: str, out: list) -> None:
+    """Append the lines of ``value`` at the path ``prefix`` less its final dot,
+    in path order: dict keys by :func:`_segment_key`, list items as listed."""
+    if isinstance(value, dict):
+        if not value:
+            out.append(prefix[:-1] + " = {}\n")
+        for key, v in sorted(((str(k), v) for k, v in value.items()),
+                             key=lambda item: _segment_key(item[0])):
+            _render(v, prefix + key + ".", out)
+    elif isinstance(value, (list, tuple)):
+        if all(_is_scalar(v) for v in value):
+            out.append(prefix[:-1] + " = [" + ",".join(map(_scalar, value)) + "]\n")
+        else:
+            for i, v in enumerate(value, start=1):
+                _render(v, f"{prefix}{i}.", out)
+    else:
+        out.append(prefix[:-1] + " = " + _scalar(value) + "\n")
+
+
 def render_structured(data: dict) -> str:
-    """Flat ``path = value`` lines with deterministically sorted paths."""
-    rows: list = []
-    _flatten(data, (), rows)
-    rows.sort(key=lambda r: tuple(_segment_key(s) for s in r[0]))
-    return "".join(".".join(path) + " = " + value + "\n" for path, value in rows)
+    """Flat ``path = value`` lines in sorted path order, written in one walk."""
+    out: list[str] = []
+    _render(data, "", out)
+    return "".join(out)

@@ -319,11 +319,12 @@ class Ideal(NamedTuple):
     members: frozenset[int]
     generators: tuple[int, ...] = ()
 
-    def __eq__(self, other) -> bool:   # on (ring, members), as is the hash
-        return self[:2] == other[:2] if isinstance(other, Ideal) else NotImplemented
+    # on (carrier, members), as is the hash; modules.Submodule shares these three
+    def __eq__(self, other) -> bool:
+        return self[:2] == other[:2] if type(other) is type(self) else NotImplemented
 
     def __ne__(self, other) -> bool:
-        return self[:2] != other[:2] if isinstance(other, Ideal) else NotImplemented
+        return self[:2] != other[:2] if type(other) is type(self) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(self[:2])

@@ -346,3 +346,39 @@ class CosetArithmetic:
 
     def scale(self, r: int, i: int) -> int:
         return self.index_of(tuple(self.ring.mul(r, c) for c in self.elements[i]))
+
+
+def structured_by_sorting(data) -> str:
+    """Structured report text by its definition: every (path, value) line,
+    sorted by path, with numeric segments first and in numeric order."""
+    def segment_key(seg):
+        return (0, int(seg), "") if seg.isdigit() else (1, 0, seg)
+
+    def scalar(v):
+        if v is None:
+            return "none"
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            return v.replace("\\", "\\\\").replace("\n", "\\n")
+        return str(v)
+
+    def flatten(value, path, out):
+        if isinstance(value, dict):
+            if not value:
+                out.append((path, "{}"))
+            for k, v in value.items():
+                flatten(v, path + (str(k),), out)
+        elif isinstance(value, (list, tuple)):
+            if all(v is None or isinstance(v, (str, int, bool)) for v in value):
+                out.append((path, "[" + ",".join(scalar(v) for v in value) + "]"))
+            else:
+                for i, v in enumerate(value, start=1):
+                    flatten(v, path + (str(i),), out)
+        else:
+            out.append((path, scalar(value)))
+
+    rows = []
+    flatten(data, (), rows)
+    rows.sort(key=lambda r: tuple(segment_key(s) for s in r[0]))
+    return "".join(".".join(path) + " = " + value + "\n" for path, value in rows)

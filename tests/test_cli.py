@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 
 import modradical.cli
 import modradical.instance
+import modradical.modules
 from modradical import harness, predicates, radical
 from modradical.cli import main
 from modradical.instance import parse_instance
@@ -463,18 +466,40 @@ def test_check_cimpric_rejects_non_free_instance(tmp_path, capsys):
 # -- benchmark tooling ------------------------------------------------------------------
 
 
-def _benchmark_tracing():
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _benchmark_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # a dataclass looks its own module up while it is built
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
+    # every op whose seed-0 output the benchmark pins, run in-process: a change
+    # to any report byte fails here and not only in a benchmark run; its
+    # modules are interned apart, so other tests still find theirs cold
+    monkeypatch.setattr(modradical.modules, "_PRESENTATION_CACHE", {})
+    workloads = _benchmark_module("workloads")
+    pins = json.loads((PERFBENCH / "digests.json").read_text())
+    digests = {}
+    for workload in pins:
+        for op in workloads.WORKLOADS[workload](0):
+            path, out = tmp_path / op.input_name, tmp_path / f"{op.op_id}.out"
+            path.write_text(op.input_text, encoding="utf-8")
+            argv = [a.replace("{input}", str(path)) for a in op.argv]
+            assert main(argv + ["--out", str(out)]) == 0, op.op_id
+            digests.setdefault(workload, {})[op.op_id] = hashlib.sha256(
+                out.read_bytes()).hexdigest()
+    assert digests == pins
 
 
 def test_benchmark_tracer_finds_every_target():
     # perfbench wraps library functions by name; a renamed one would turn its
     # per-layer metrics into null without failing anything
-    tracing = _benchmark_tracing()
+    tracing = _benchmark_module("tracing")
     tracer = tracing.Tracer("tier-1 guard")
     M = ModulePresentation(make_zn(4), 2)   # built directly: a cold table
     try:
@@ -495,7 +520,7 @@ def test_benchmark_tracer_finds_every_target():
 def test_benchmark_tracer_counts_every_claim_unit():
     # the tracer spans a claim by rebinding the checker that is its CLAIMS
     # value, so each span must see exactly the units verify_all counts
-    tracing = _benchmark_tracing()
+    tracing = _benchmark_module("tracing")
     assert set(tracing.CLAIM_CHECKERS) == set(harness.CLAIM_IDS)
     tracer = tracing.Tracer("tier-1 guard")
     try:

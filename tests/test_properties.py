@@ -19,6 +19,7 @@ from modradical.modules import (
 )
 from modradical.predicates import is_semiprime_submodule
 from modradical.radical import radical_by_primes
+from modradical.report import render_structured
 from modradical.rings import (
     ideal_generate,
     is_ideal_members,
@@ -150,3 +151,22 @@ def test_instance_render_parse_round_trip(pair):
     assert second.module == first.module
     assert second.submodules["N"].member_indices == \
         first.submodules["N"].member_indices
+
+
+# Report trees whose dict keys never tie once rendered: distinct text under
+# str, and digit keys only as str of an int, so no "01" beside "1".
+report_scalars = st.none() | st.booleans() | st.integers(-3, 30) | st.text("ab.\\\n9 ", max_size=3)
+report_keys = st.integers(0, 30) | st.integers(0, 30).map(str) | st.text("abz_.-", max_size=3)
+report_trees = st.recursive(
+    report_scalars,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(st.tuples(report_keys, children), max_size=4,
+                                 unique_by=lambda kv: str(kv[0])).map(dict)),
+    max_leaves=25)
+
+
+@given(st.lists(st.tuples(report_keys, report_trees), max_size=5,
+                unique_by=lambda kv: str(kv[0])).map(dict))
+@settings(max_examples=100, deadline=None)
+def test_structured_report_walk_writes_the_sorted_lines(data):
+    assert render_structured(data) == oracles.structured_by_sorting(data)

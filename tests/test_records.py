@@ -10,11 +10,14 @@ from modradical import (
     ModuleElement,
     PredicateWitness,
     RingElement,
+    Submodule,
     Verdict,
     free_module,
     parse_instance,
     presented_module,
+    submodule_generate,
     verify_all,
+    zero_submodule,
 )
 from modradical.predicates import is_prime_submodule, is_semiprime_submodule
 from modradical.radical import radical_by_iteration
@@ -58,6 +61,12 @@ def test_records_keep_their_operators_equality_and_immutability():
     I, J = Ideal(z4, frozenset({0, 2}), (2,)), Ideal(z4, frozenset({0, 2}), (2, 0))
     assert I == J and not I != J and hash(I) == hash(J) == hash((z4, frozenset({0, 2})))
     assert I != Ideal(z4, frozenset({0}), (2,)) and len({I, J}) == 1
+    # and so is a submodule its module and members, by the same three methods
+    S, T = submodule_generate(M, [(0, 2)]), submodule_generate(M, [(0, 2), (0, 0)])
+    assert Submodule._fields == ("module", "member_indices", "generator_indices")
+    assert S.generator_indices != T.generator_indices and S == T and not S != T
+    assert hash(S) == hash(T) == hash((M, frozenset({0, 2}))) and len({S, T}) == 1
+    assert S != zero_submodule(M) and S != I and I != S
 
     with pytest.raises(ValueError, match="code 12 out of range for Z/12"):
         RingElement(make_zn(12), 12)
@@ -75,11 +84,12 @@ def test_records_keep_their_operators_equality_and_immutability():
     _, trace = radical_by_iteration(N)
     finding = Finding("THM-ITERATION", "ring Z/4\n", "made up")
     report = verify_all(CorpusSpec(rings=("Z/2",), max_rank=1))
-    records = [a, m, I, Verdict(True), is_prime_submodule(N).witness, trace.steps[0], trace,
-               DEFAULT_CORPUS_SPEC, finding, inst, report]
+    records = [a, m, I, N, Verdict(True), is_prime_submodule(N).witness, trace.steps[0],
+               trace, DEFAULT_CORPUS_SPEC, finding, inst, report]
     for record in records:
-        with pytest.raises(AttributeError):
-            setattr(record, record._fields[0], None)
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.note = None
 
