@@ -46,6 +46,7 @@ from .predicates import (
     is_dauns_semiprime,
     is_prime_submodule,
     is_semiprime_submodule,
+    prime_by_scan,
 )
 from .radical import (
     radical_by_iteration,
@@ -192,9 +193,14 @@ def _serialize(inst: Instance, subs: dict[str, Submodule]) -> str:
 
 
 def _check_prime_implies_sp(module, subs, *_):
+    """Prime implies semiprime, and the primeness verdict, decided from
+    (N:M), equals the literal scan's, witness included."""
     N = subs["N"]
-    if is_prime_submodule(N).holds and not is_semiprime_submodule(N).holds:
+    verdict = is_prime_submodule(N)
+    if verdict.holds and not is_semiprime_submodule(N).holds:
         return "prime submodule is not semiprime"
+    if verdict != prime_by_scan(N):
+        return "primeness verdict differs from the literal scan"
     return None
 
 

@@ -7,8 +7,9 @@ a list of relation vectors, which is input text and is not kept.
 Presentations are interned in ``_PRESENTATION_CACHE`` on (ring, rank, K),
 found before any coset is built, as rings are in ``rings._RING_CACHE`` on
 their descriptor.  Each module's ``derived`` table keeps what is computed
-from it: index rows, r*M, I*M, semiprime verdicts per member set, the
-lattice and the prime list, keyed by (builder, an int, a frozenset or None).
+from it: index rows, r*M, I*M, the basis images r*e_j, semiprime verdicts
+per member set, whether each colon (P:M) is a prime ideal, the lattice and
+the prime list, keyed by (builder, an int, a frozenset or None).
 Nothing is evicted from either.
 Tuple representatives only appear at the API surface; everything else is
 immutable after construction and all operations are pure.
@@ -275,6 +276,10 @@ def _image_set(M: ModulePresentation, r: int) -> frozenset[int]:
     return frozenset(M.scaled_row(r))
 
 
+def _basis_images(M: ModulePresentation, _) -> list[tuple[int, ...]]:
+    return [tuple(M.scale_i(r, u) for u in M.unit_indices) for r in range(M.ring.size)]
+
+
 def _ideal_action(M: ModulePresentation, codes: frozenset[int]) -> frozenset[int]:
     gens = {M.scale_i(r, u) for r in codes for u in M.unit_indices}
     return frozenset(additive_closure({M.zero_index}, gens, M.add_row))
@@ -496,14 +501,22 @@ def colon_module(N: Submodule, M: ModulePresentation) -> Ideal:
     """
     if N.module != M:
         raise ValueError("submodule does not live in the given module")
-    ms = N.member_indices
-    codes = frozenset(
-        r for r in range(M.ring.size)
-        if all(M.scale_i(r, u) in ms for u in M.unit_indices))
+    codes = module_colon_codes(N)
     if not is_ideal_members(M.ring, codes):
         raise AssertionError(
             f"colon set {sorted(codes)} of the module is not an ideal in {M.ring.descriptor}")
     return Ideal(M.ring, codes, tuple(sorted(codes)))
+
+
+def module_colon_codes(N: Submodule) -> frozenset[int]:
+    """Member codes of (N : M), read off the basis images as in :func:`colon_module`.
+
+    The images r*e_j of every ring code r are kept in ``derived``, |R| * rank
+    indices per module, and building them builds no scaled row.
+    """
+    M = N.module
+    images = M.derived[_basis_images, None]
+    return frozenset(compress(range(len(images)), map(N.member_indices.issuperset, images)))
 
 
 def ideal_times_module(I: Ideal, M: ModulePresentation) -> Submodule:

@@ -1,10 +1,11 @@
 """Primeness and semiprimeness predicates on submodules, with witnesses.
 
 All quantifiers run as exhaustive scans over the finite carrier, so every
-verdict is a decision.  A false verdict carries a witness recording the
-violating elements together with the intermediate sets that were computed;
-``replays()`` re-derives everything from the definitions and confirms the
-failure, which keeps reported counterexamples honest.
+verdict is a decision; primeness is decided from the colon ideal (P:M)
+instead, and scans only for its witness.  A false verdict carries a witness
+recording the violating elements together with the intermediate sets that
+were computed; ``replays()`` re-derives everything from the definitions and
+confirms the failure, which keeps reported counterexamples honest.
 
 Throughout, conditions on single elements are membership conditions: the
 colon ideal (N : m) is {r : r*m in N}.  ``_qualifiers`` is the one scan for
@@ -23,8 +24,10 @@ from .modules import (
     colon_codes,
     colon_sets,
     enumerate_submodules,
+    module_colon_codes,
     scaled_rows,
 )
+from .rings import Ideal, is_prime_ideal
 
 
 class PredicateWitness(NamedTuple):
@@ -93,20 +96,68 @@ class Verdict(NamedTuple):
 def is_prime_submodule(P: Submodule) -> Verdict:
     """P proper and: r*m in P implies r*M <= P or m in P.
 
-    The scan runs scalars-major, so a false verdict carries the
-    lexicographically first violating (r, m).
+    The verdict is :func:`prime_by_colon`'s: over a finite commutative ring,
+    a proper P is prime iff p = (P:M) is a prime ideal.
+
+    (=>) p is proper, since 1*M <= P would make P all of M.  Let r*s lie in
+    p with s outside it, and pick x with s*x outside P.  Then r*(s*x) lies
+    in P, and primeness gives r*M <= P, so r lies in p.
+    (<=) A prime ideal of a finite ring is maximal, so R/p is a field and
+    M/P is a vector space over it.  Let r*m lie in P with r*M not inside P,
+    that is r outside p.  Then r*s = 1 + a for some s and some a in p, so
+    m = s*(r*m) - a*m lies in P.
+
+    Only a false verdict scans, for its witness: scalars-major, the first
+    (r, m) with r*m in P, m outside P and r*M not inside P.  Two kinds of r
+    never violate and are skipped: those in p, where r*M <= P, and the
+    units, since u*m in P forces m = u^-1*(u*m) in P.  So the witness is
+    the first violator of the literal scan, :func:`prime_by_scan`.  A false
+    decision whose scan finds no violator raises ``AssertionError``.
     """
-    M = P.module
-    ms = P.member_indices
+    if prime_by_colon(P):
+        return Verdict(True)
     if not P.is_proper:
         return Verdict(False)
-    for r in range(M.ring.size):
-        image = M.image_set(r)
-        if image <= ms:
-            continue
+    ring = P.module.ring
+    colon = module_colon_codes(P)
+    verdict = _prime_scan(P, (r for r in range(ring.size)
+                              if r not in colon and ring.one not in ring._mul[r]))
+    if verdict.holds:
+        raise AssertionError(
+            f"(P:M) = {sorted(colon)} is not prime, yet no scalar violates primeness")
+    return verdict
+
+
+def prime_by_colon(P: Submodule) -> bool:
+    """P proper and (P:M) a prime ideal: the primeness decision, argued in
+    :func:`is_prime_submodule`.  It scans no elements; whether a colon is a
+    prime ideal is kept in the module's ``derived`` table."""
+    return P.is_proper and P.module.derived[_colon_is_prime, module_colon_codes(P)]
+
+
+def _colon_is_prime(M: ModulePresentation, codes: frozenset[int]) -> bool:
+    return is_prime_ideal(Ideal(M.ring, codes))
+
+
+def prime_by_scan(P: Submodule) -> Verdict:
+    """The literal definition, every scalar scanned: the harness's oracle."""
+    if not P.is_proper:
+        return Verdict(False)
+    return _prime_scan(P, range(P.module.ring.size))
+
+
+def _prime_scan(P: Submodule, scalars) -> Verdict:
+    """The first (r, m), over ``scalars`` in order and then elements in index
+    order, with r*m in P, m outside P and r*M not inside P."""
+    M = P.module
+    ms = P.member_indices
+    for r in scalars:
         row = M.scaled_row(r)
         for mi in range(M.element_count):
             if row[mi] in ms and mi not in ms:
+                image = M.image_set(r)
+                if image <= ms:
+                    break   # r*M <= P, so no m violates with this r
                 return Verdict(False, PredicateWitness(
                     kind="prime", submodule=P, r=r, m=M.elements[mi],
                     scaled_members=_reps(M, image)))
@@ -212,7 +263,7 @@ def compare_notions(M: ModulePresentation,
     """
     rows = []
     for N in enumerate_submodules(M, lattice_bound):
-        prime = bool(is_prime_submodule(N))
+        prime = prime_by_colon(N)
         semiprime = bool(is_semiprime_submodule(N))
         dauns = bool(is_dauns_semiprime(N))
         cimpric = bool(is_cimpric_semiprime(N)) if M.is_free else None

@@ -28,8 +28,8 @@ from .predicates import (
     PredicateWitness,
     _qualifiers,
     _semiprime_verdict,
-    is_prime_submodule,
     is_semiprime_submodule,
+    prime_by_colon,
 )
 
 
@@ -115,7 +115,7 @@ def prime_submodules(M: ModulePresentation,
 
 
 def _prime_list(M: ModulePresentation, _) -> list[Submodule]:
-    return [P for P in M.derived[_lattice, None] if is_prime_submodule(P).holds]
+    return [P for P in M.derived[_lattice, None] if prime_by_colon(P)]
 
 
 def radical_by_primes(N: Submodule,

@@ -247,30 +247,27 @@ def _closed_submodule(module, ms, scalars) -> bool:
 
 
 def prime_sets_by_definition(module) -> list[frozenset[int]]:
-    """Submodule sets that satisfy the literal prime condition.
+    """Submodule sets that satisfy the literal prime condition."""
+    return [ms for ms in all_submodule_sets(module) if is_prime_by_definition(module, ms)]
+
+
+def is_prime_by_definition(module, ms) -> bool:
+    """The literal prime condition on one submodule set ``ms``.
 
     P proper and for all scalars r and elements m: r*m in P implies
     r*M <= P or m in P.
     """
     n = module.element_count
-    out = []
-    for ms in all_submodule_sets(module):
-        if len(ms) == n:
+    if len(ms) == n:
+        return False
+    for r in range(module.ring.size):
+        image = {module.scale_i(r, i) for i in range(n)}
+        if image <= ms:
             continue
-        ok = True
-        for r in range(module.ring.size):
-            image = {module.scale_i(r, i) for i in range(n)}
-            if image <= ms:
-                continue
-            for m in range(n):
-                if module.scale_i(r, m) in ms and m not in ms:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(ms)
-    return out
+        for m in range(n):
+            if module.scale_i(r, m) in ms and m not in ms:
+                return False
+    return True
 
 
 def semiprime_sets_by_definition(module) -> list[frozenset[int]]:

@@ -174,19 +174,22 @@ def test_verify_small_spec_exits_zero(tmp_path, capsys):
 
 def test_text_mode_verify_prints_each_finding_with_its_instance(tmp_path, capsys, monkeypatch):
     # a primeness test that holds everywhere makes the zero submodule of Z/4,
-    # which is not semiprime, a prime one that is not semiprime
+    # which is not semiprime, a prime one that is not semiprime, and calls the
+    # whole module, which the literal scan finds not proper, prime
     monkeypatch.setattr(harness, "is_prime_submodule", lambda N: Verdict(True))
     spec = tmp_path / "tiny.spec"
     spec.write_text("rings Z/4\nmax_rank 1\nstrategies free\n", encoding="utf-8")
     code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
     assert code == 1
     lines = out.splitlines()
-    assert "  PROP-PRIME-IMPLIES-SP: checked=3 passed=2 failed=1 skipped=0" in lines
-    assert "counterexamples: 1" in lines
+    assert "  PROP-PRIME-IMPLIES-SP: checked=3 passed=1 failed=2 skipped=0" in lines
+    assert "counterexamples: 2" in lines
     finding = lines.index("FINDING [PROP-PRIME-IMPLIES-SP]: prime submodule is not semiprime")
-    assert lines[finding + 1:finding + 4] == [
-        "    ring Z/4", "    module rank=1 relations=[]", "    submodule N gens=[]"]
-    assert lines[finding + 4].startswith("wall time: ")
+    assert lines[finding + 1:finding + 8] == [
+        "    ring Z/4", "    module rank=1 relations=[]", "    submodule N gens=[]",
+        "FINDING [PROP-PRIME-IMPLIES-SP]: primeness verdict differs from the literal scan",
+        "    ring Z/4", "    module rank=1 relations=[]", "    submodule N gens=[(1)]"]
+    assert lines[finding + 8].startswith("wall time: ")
     assert lines[-1] == "result: FAILURES FOUND"
 
 

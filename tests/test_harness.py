@@ -267,7 +267,8 @@ def _semiprime_flipped_for_the_radical_claim(N):
 
 @pytest.mark.parametrize("name,fault,claim_id,checked,failed,detail", [
     ("is_prime_submodule", lambda N: Verdict(True),
-     "PROP-PRIME-IMPLIES-SP", 15, 1, r"prime submodule is not semiprime"),
+     "PROP-PRIME-IMPLIES-SP", 15, 9,
+     r"prime submodule is not semiprime|primeness verdict differs from the literal scan"),
     ("is_cimpric_semiprime", lambda N: Verdict(False),
      "PROP-FREE-EQUIV", 7, 6, r"semiprime and coordinate conditions disagree on a free module"),
     ("intersect", lambda N1, N2: modules.zero_submodule(N1.module),
@@ -293,6 +294,24 @@ def test_each_claim_failure_surfaces_as_a_finding_that_replays(
     assert all(f.replay() for f in tally.findings)
     monkeypatch.undo()
     assert not any(f.replay() for f in tally.findings)
+
+
+def test_a_colon_test_that_calls_every_colon_prime_fails_against_the_literal_scan(monkeypatch):
+    # the zero submodule of Z/6 is semiprime but not prime, so only the scan
+    # comparison catches the fault; the cache is fresh because the fault
+    # would otherwise stay in the modules' prime lists
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    monkeypatch.setattr(predicates, "_colon_is_prime", lambda M, codes: True)
+    report = verify_all(spec_of(rings=("Z/6",), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tally = by_id.pop("PROP-PRIME-IMPLIES-SP")
+    assert (tally.checked, tally.failed) == (9, 1) and not report.ok
+    assert [f.detail for f in tally.findings] == [
+        "primeness verdict differs from the literal scan"]
+    assert all(c.failed == 0 for c in by_id.values())
+    assert tally.findings[0].replay()
+    monkeypatch.undo()
+    assert not tally.findings[0].replay()
 
 
 def test_verify_gating_with_lattice_bound_zero():

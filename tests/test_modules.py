@@ -176,7 +176,8 @@ def test_module_element_rejects_non_canonical_reps():
     assert ModuleElement(M, (1, 3)).rep == (1, 3)
 
 
-def test_parsing_one_generator_instance_builds_no_scaled_row():
+def test_parsing_one_generator_instance_builds_no_scaled_row(monkeypatch):
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
     inst = parse_instance("ring Z/16\nmodule rank=4 relations=[]\n"
                           "submodule N gens=[(4,0,0,0)]\n")
     assert inst.submodules["N"].size == 4

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from modradical import predicates
+from modradical import modules, predicates
+from modradical.cli import main
 from modradical.modules import (
     enumerate_submodules,
     free_module,
@@ -20,8 +21,10 @@ from modradical.predicates import (
     is_dauns_semiprime,
     is_prime_submodule,
     is_semiprime_submodule,
+    prime_by_colon,
+    prime_by_scan,
 )
-from modradical.radical import first_radical_step
+from modradical.radical import first_radical_step, prime_submodules
 from modradical.rings import is_semiprime_ideal, make_gf, make_product, make_zn
 from modradical.modules import colon_ideal
 
@@ -77,6 +80,111 @@ def test_prime_matches_definition_oracle():
         got = {N.member_indices for N in enumerate_submodules(M)
                if is_prime_submodule(N).holds}
         assert got == expected
+
+
+# -- prime, decided from (P:M) --------------------------------------------------
+
+
+PRIME_ORACLE_MODULES = SMALL_MODULES + [
+    lambda: free_module(make_zn(4), 3),
+    lambda: free_module(make_gf(2, 2, [1, 1, 1]), 2),
+    lambda: free_module(make_product([make_zn(2), make_zn(4)]), 2),
+    lambda: free_module(make_zn(6), 2),
+]
+
+
+def _first_violator(P):
+    """The first (r, m index) with r*m in P, m outside P and r*M not inside P."""
+    M = P.module
+    ms = P.member_indices
+    for r in range(M.ring.size):
+        scaled = [M.scale_i(r, i) for i in range(M.element_count)]
+        if set(scaled) <= ms:
+            continue
+        for mi, rm in enumerate(scaled):
+            if rm in ms and mi not in ms:
+                return r, mi
+    return None
+
+
+@pytest.mark.parametrize("index", range(len(PRIME_ORACLE_MODULES)))
+def test_prime_verdicts_and_witnesses_match_the_literal_definition(index):
+    M = PRIME_ORACLE_MODULES[index]()
+    for N in enumerate_submodules(M):
+        verdict = is_prime_submodule(N)
+        assert (verdict.holds == prime_by_colon(N)
+                == oracles.is_prime_by_definition(M, N.member_indices))
+        if verdict.holds or not N.is_proper:
+            assert verdict.witness is None
+            continue
+        r, mi = _first_violator(N)
+        assert (verdict.witness.r, verdict.witness.m) == (r, M.elements[mi])
+        assert verdict.witness.replays() and verdict == prime_by_scan(N)
+
+
+def _gaussian_binomial(n: int, d: int, q: int) -> int:
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("ring,rank,residue_sizes,count", [
+    (lambda: make_zn(4), 4, (2,), 66),
+    (lambda: make_zn(6), 3, (2, 3), 42),
+    (lambda: make_zn(3), 5, (3,), 2663),
+    (lambda: make_zn(2), 6, (2,), 2824),
+    (lambda: make_gf(2, 2, [1, 1, 1]), 4, (4,), 528),
+    (lambda: make_zn(16), 2, (2,), 4),
+    (lambda: make_product([make_zn(2), make_zn(8)]), 2, (2, 2), 8),
+])
+def test_prime_count_is_the_gaussian_binomial_sum(ring, rank, residue_sizes, count):
+    # the primes P with (P:M) = p are the preimages of the proper subspaces of
+    # M/pM = (R/p)^rank, one residue field size q = |R/p| per maximal ideal p
+    expected = sum(_gaussian_binomial(rank, d, q) for q in residue_sizes for d in range(rank))
+    assert expected == count
+    assert len(prime_submodules(free_module(ring(), rank))) == count
+
+
+Z16_RANK4 = "ring Z/16\nmodule rank=4 relations=[]\n"
+
+
+def _scaled_rows_built(M):
+    return [r for build, r in M.derived if build is modules._scaled_row]
+
+
+def _check_prime_on_z16_rank4(monkeypatch, tmp_path, capsys, gens):
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    path = tmp_path / "z16.instance"
+    path.write_text(f"{Z16_RANK4}submodule P gens=[{gens}]\n", encoding="utf-8")
+    assert main(["check-prime", str(path), "P", "--format", "structured"]) == 0
+    (M,) = modules._PRESENTATION_CACHE.values()
+    return M, capsys.readouterr().out.splitlines()
+
+
+def test_a_true_prime_verdict_on_z16_rank4_builds_no_scaled_row(monkeypatch, tmp_path, capsys):
+    M, out = _check_prime_on_z16_rank4(monkeypatch, tmp_path, capsys,
+                                       "(1,0,0,0),(0,1,0,0),(0,0,1,0),(0,0,0,2)")
+    assert "holds = true" in out
+    assert _scaled_rows_built(M) == []
+
+
+def test_a_false_prime_verdict_on_z16_rank4_skips_the_units(monkeypatch, tmp_path, capsys):
+    M, out = _check_prime_on_z16_rank4(monkeypatch, tmp_path, capsys, "(4,0,0,0)")
+    assert "holds = false" in out
+    assert "witness.r = 2" in out and "witness.m = (0,0,0,8)" in out
+    # (P:M) = {0}; 1 is a unit, so 2 is the first scalar scanned
+    assert _scaled_rows_built(M) == [2]
+    P = submodule_generate(M, [(4, 0, 0, 0)])
+    assert is_prime_submodule(P) == prime_by_scan(P)
+
+
+def test_a_false_decision_on_a_prime_raises(monkeypatch, z4_line):
+    two = submodule_generate(z4_line, [(2,)])
+    monkeypatch.setattr(predicates, "prime_by_colon", lambda P: False)
+    with pytest.raises(AssertionError, match="no scalar violates primeness"):
+        is_prime_submodule(two)
 
 
 # -- semiprime -----------------------------------------------------------------
