@@ -47,9 +47,12 @@ from .predicates import (
     is_prime_submodule,
     is_semiprime_submodule,
     prime_by_scan,
+    semiprime_by_nil,
+    semiprime_by_scan,
 )
 from .radical import (
     radical_by_iteration,
+    radical_by_nil,
     radical_by_primes,
     smallest_semiprime_over,
 )
@@ -197,7 +200,7 @@ def _check_prime_implies_sp(module, subs, *_):
     (N:M), equals the literal scan's, witness included."""
     N = subs["N"]
     verdict = is_prime_submodule(N)
-    if verdict.holds and not is_semiprime_submodule(N).holds:
+    if verdict.holds and not semiprime_by_scan(N).holds:
         return "prime submodule is not semiprime"
     if verdict != prime_by_scan(N):
         return "primeness verdict differs from the literal scan"
@@ -223,7 +226,7 @@ def _check_colon_semiprime(module, subs, *_):
     checked semiprime; a failure names that first element.
     """
     N = subs["N"]
-    semiprime = is_semiprime_submodule(N).holds
+    semiprime = semiprime_by_scan(N).holds
     if semiprime != is_dauns_semiprime(N).holds:
         return ("semiprime submodule fails the squares condition" if semiprime
                 else "squares condition holds but the submodule is not semiprime")
@@ -246,32 +249,41 @@ def _check_free_equiv(module, subs, *_):
     if not module.is_free:
         return None
     N = subs["N"]
-    if is_semiprime_submodule(N).holds != is_cimpric_semiprime(N).holds:
+    if semiprime_by_scan(N).holds != is_cimpric_semiprime(N).holds:
         return "semiprime and coordinate conditions disagree on a free module"
     return None
 
 
 def _check_intersection(module, subs, *_):
     N1, N2 = subs["N1"], subs["N2"]
-    if not (is_semiprime_submodule(N1).holds and is_semiprime_submodule(N2).holds):
+    if not (semiprime_by_scan(N1).holds and semiprime_by_scan(N2).holds):
         return None
-    if not is_semiprime_submodule(intersect(N1, N2)).holds:
+    if not semiprime_by_scan(intersect(N1, N2)).holds:
         return "intersection of two semiprime submodules is not semiprime"
     return None
 
 
 def _check_iteration(module, subs, lattice_bound, *_):
-    """The radical chain of N grows, replays and ends at rad(N) = the
-    intersection of the primes above N.
+    """The radical chain of N grows, replays and ends at rad(N) = N + Nil(R)M
+    = the intersection of the primes above N.
 
+    First the closed-form semiprime decision, Nil(R)M <= N, must agree with
+    the literal scan, its boolean before the verdict and witness, so that a
+    wrong decision either way is a finding and not the library's error.
     The chain grows by construction: ``radical_by_iteration`` raises on a
     step that shrinks, so no chain it returns does.  Every witness must
-    replay; the fixpoint must be semiprime and, with the lattice enumerated,
-    equal ``radical_by_primes``.  That also puts the first step inside every
-    prime P above N: the chain only grows, so the first step lies in the
-    fixpoint, which is the intersection of all such P.
+    replay; the fixpoint must be semiprime, equal ``radical_by_nil`` and,
+    with the lattice enumerated, equal ``radical_by_primes``.  That also
+    puts the first step inside every prime P above N: the chain only grows,
+    so the first step lies in the fixpoint, which is the intersection of all
+    such P.
     """
     N = subs["N"]
+    literal = semiprime_by_scan(N)
+    if semiprime_by_nil(N) != literal.holds:
+        return "semiprime decision from Nil(R)M differs from the literal scan"
+    if is_semiprime_submodule(N) != literal:
+        return "semiprime verdict differs from the literal scan"
     fixpoint, trace = radical_by_iteration(N)
     prev = N
     for k, step in enumerate(trace.steps, start=1):
@@ -279,8 +291,13 @@ def _check_iteration(module, subs, lattice_bound, *_):
             if not (w.submodule == prev and w.replays()):
                 return f"step {k} witness {format_vec(w.m)} does not replay"
         prev = step.submodule
-    if not is_semiprime_submodule(fixpoint).holds:
+    if not semiprime_by_scan(fixpoint).holds:
         return "iteration fixpoint is not semiprime"
+    by_nil = radical_by_nil(N)
+    if fixpoint.member_indices != by_nil.member_indices:
+        return ("iterated radical differs from N + Nil(R)M: "
+                f"{format_vec_list(fixpoint.members)} vs "
+                f"{format_vec_list(by_nil.members)}")
     if lattice_bound is not None:
         by_primes = radical_by_primes(N, lattice_bound)
         if fixpoint.member_indices != by_primes.member_indices:
@@ -300,7 +317,7 @@ def _check_radical_eq(module, subs, lattice_bound, *_):
                 f"{format_vec_list(smallest.members)}")
     if N.is_proper:
         fixed = by_primes.member_indices == N.member_indices
-        if is_semiprime_submodule(N).holds != fixed:
+        if semiprime_by_scan(N).holds != fixed:
             return "semiprime does not coincide with being a radical submodule"
     return None
 
@@ -325,7 +342,7 @@ def _check_quotient(module, subs, lattice_bound, available):
         if not mp.issubset(N):
             continue
         image = q.forward_submodule(N)
-        if is_semiprime_submodule(N).holds != is_semiprime_submodule(image).holds:
+        if semiprime_by_scan(N).holds != semiprime_by_scan(image).holds:
             return (f"semiprimeness not preserved for {format_vec_list(N.members)} "
                     "under the quotient map")
         if q.backward_submodule(image).member_indices != N.member_indices:
@@ -343,7 +360,7 @@ def _check_sep_semiprime_not_prime(module, subs, *_):
     N = subs["N"]
     if not N.is_proper:
         return None
-    if is_semiprime_submodule(N).holds and not is_prime_submodule(N).holds:
+    if semiprime_by_scan(N).holds and not is_prime_submodule(N).holds:
         return "semiprime but not prime"
     return None
 
@@ -376,7 +393,7 @@ def _units(shape: str, module, subs) -> list[dict[str, Submodule]]:
     if shape == "MP":
         return [{"MP": mp} for mp in subs]
     if shape == "N1,N2":
-        semis = [N for N in subs if is_semiprime_submodule(N).holds]
+        semis = [N for N in subs if semiprime_by_scan(N).holds]
         return [{"N1": N1, "N2": N2}
                 for i, N1 in enumerate(semis) for N2 in semis[i + 1:]]
     if shape == "free N" and not module.is_free:

@@ -17,9 +17,11 @@ read by :meth:`_Cursor.items`.  Parse errors carry line and column.
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
 from .modules import (
+    BoundExceededError,
     DEFAULT_ELEMENT_BOUND,
     ModuleElement,
     ModulePresentation,
@@ -137,12 +139,21 @@ def _lines(text: str):
 # -- ring descriptors ------------------------------------------------------------
 
 
-def _parse_descriptor(cur: _Cursor) -> FiniteRing:
+def _parse_descriptor(cur: _Cursor, element_bound: int | None = None) -> FiniteRing:
+    """Parse one ring descriptor and build the ring.  With ``element_bound``
+    given, a ring larger than it is rejected before its tables are built."""
+
+    def sized(size: int) -> int:
+        if element_bound is not None and size > element_bound:
+            raise BoundExceededError(f"tabulating the ring {cur.text[start:cur.pos]}",
+                                     size, element_bound, "--element-bound")
+        return size
+
     cur.skip_ws()
     start = cur.pos
     try:
         if cur.try_take("Z/"):
-            return make_zn(cur.integer())
+            return make_zn(sized(cur.integer()))
         if cur.try_take("GF("):
             q = cur.integer()
             cur.take(")")
@@ -157,10 +168,12 @@ def _parse_descriptor(cur: _Cursor) -> FiniteRing:
             else:
                 cur.error(f"GF({q}) needs an explicit poly=[...] reduction polynomial",
                           start)
+            sized(q)
             return make_gf(p, k, coeffs)
         if cur.try_take("product("):
-            factors = cur.items(lambda: _parse_descriptor(cur))
+            factors = cur.items(lambda: _parse_descriptor(cur, element_bound))
             cur.take(")")
+            sized(prod(f.size for f in factors))
             return make_product(factors)
     except RingConstructionError as exc:
         cur.error(str(exc), start)
@@ -217,7 +230,12 @@ def _parse_vector(cur: _Cursor, ring: FiniteRing, rank: int) -> tuple:
 
 def parse_instance(text: str,
                    element_bound: int = DEFAULT_ELEMENT_BOUND) -> InstanceFile:
-    """Parse and build an instance file; malformed input raises :class:`ParseError`."""
+    """Parse and build an instance file; malformed input raises :class:`ParseError`.
+
+    A ring or module with more than ``element_bound`` elements raises
+    :class:`BoundExceededError`; the ring's size is read from its descriptor,
+    so an oversized ring is rejected before it is tabulated, even under a
+    module of rank 0."""
     ring: FiniteRing | None = None
     module: ModulePresentation | None = None
     submodules: dict[str, Submodule] = {}
@@ -230,7 +248,7 @@ def parse_instance(text: str,
         if keyword == "ring":
             if ring is not None:
                 cur.error("duplicate ring line", at)
-            ring = _parse_descriptor(cur)
+            ring = _parse_descriptor(cur, element_bound)
         elif keyword == "module":
             if ring is None:
                 cur.error("module line before ring line", at)

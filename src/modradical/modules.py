@@ -7,9 +7,10 @@ a list of relation vectors, which is input text and is not kept.
 Presentations are interned in ``_PRESENTATION_CACHE`` on (ring, rank, K),
 found before any coset is built, as rings are in ``rings._RING_CACHE`` on
 their descriptor.  Each module's ``derived`` table keeps what is computed
-from it: index rows, r*M, I*M, the basis images r*e_j, semiprime verdicts
-per member set, whether each colon (P:M) is a prime ideal, the lattice and
-the prime list, keyed by (builder, an int, a frozenset or None).
+from it: index rows, r*M, I*M, the basis images r*e_j, Nil(R), the literal
+semiprime verdicts per member set, whether each colon (P:M) is a prime
+ideal, the lattice and the prime list, keyed by (builder, an int, a
+frozenset or None).
 Nothing is evicted from either.
 Tuple representatives only appear at the API surface; everything else is
 immutable after construction and all operations are pure.
@@ -436,12 +437,18 @@ def _generate_from_indices(M: ModulePresentation, gen_indices) -> Submodule:
 
 def _grow(M: ModulePresentation, members, gen_indices):
     """Member indices of the submodule generated by the submodule ``members``
-    and the elements at ``gen_indices``."""
-    # the set is a submodule after each generator, so one already inside adds nothing
+    and the elements at ``gen_indices``.
+
+    The set is a submodule after each generator, so one already inside adds
+    nothing.  Grown from zero, the set is the cyclic set R*i, which is
+    closed under addition already, as r*i + s*i = (r+s)*i; it costs no add
+    row.
+    """
     for i in gen_indices:
         if i not in members:
-            members = additive_closure(
-                members, [M.scale_i(r, i) for r in range(M.ring.size)], M.add_row)
+            multiples = [M.scale_i(r, i) for r in range(M.ring.size)]
+            members = (set(multiples) if len(members) == 1
+                       else additive_closure(members, multiples, M.add_row))
     return members
 
 

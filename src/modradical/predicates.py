@@ -1,11 +1,14 @@
 """Primeness and semiprimeness predicates on submodules, with witnesses.
 
 All quantifiers run as exhaustive scans over the finite carrier, so every
-verdict is a decision; primeness is decided from the colon ideal (P:M)
-instead, and scans only for its witness.  A false verdict carries a witness
-recording the violating elements together with the intermediate sets that
-were computed; ``replays()`` re-derives everything from the definitions and
-confirms the failure, which keeps reported counterexamples honest.
+verdict is a decision; primeness is decided from the colon ideal (P:M) and
+semiprimeness from Nil(R)*M instead, and each scans only for the witness of
+a false verdict.  The literal scans, ``prime_by_scan`` and
+``semiprime_by_scan``, stay as the harness's oracles.  A false verdict
+carries a witness recording the violating elements together with the
+intermediate sets that were computed; ``replays()`` re-derives everything
+from the definitions and confirms the failure, which keeps reported
+counterexamples honest.
 
 Throughout, conditions on single elements are membership conditions: the
 colon ideal (N : m) is {r : r*m in N}.  ``_qualifiers`` is the one scan for
@@ -27,7 +30,7 @@ from .modules import (
     module_colon_codes,
     scaled_rows,
 )
-from .rings import Ideal, is_prime_ideal
+from .rings import Ideal, is_prime_ideal, nilpotent_radical_of_ideal, zero_ideal
 
 
 class PredicateWitness(NamedTuple):
@@ -167,6 +170,57 @@ def _prime_scan(P: Submodule, scalars) -> Verdict:
 def is_semiprime_submodule(N: Submodule) -> Verdict:
     """m in (N:m)M implies m in N, for every element m.
 
+    The verdict is :func:`semiprime_by_nil`'s: over a finite commutative
+    ring, N is semiprime iff Nil(R)*M <= N.
+
+    (=>) Let a be nilpotent and x in M, and let k be least with a^k*x in N;
+    k exists, as some a^k is 0.  Were k >= 2, then m = a^(k-1)*x would have
+    a in (N:m), so m = a*(a^(k-2)*x) would lie in (N:m)M and, N being
+    semiprime, in N, against the choice of k.  So a*x lies in N.
+    (<=) Nil(R) kills M/N, which is thus a module over R/Nil(R): a finite
+    reduced ring, hence a finite product of fields, whose ideals are each
+    generated by an idempotent.  Let m lie in I*M for I = (N:m), and let the
+    image of I be generated by the image e of some i in I.  In M/N the image
+    of I*M is e times that of M, which e fixes, so the image of m is e times
+    itself: the image of i*m, which is 0 as i*m lies in N.  So m lies in N.
+
+    Only a false verdict scans, for its witness: it is the literal scan's,
+    :func:`semiprime_by_scan`, so the witness is the first element outside
+    N with m in (N:m)M.  A false decision whose scan finds no such element
+    raises ``AssertionError``.
+    """
+    if semiprime_by_nil(N):
+        return Verdict(True)
+    verdict = semiprime_by_scan(N)
+    if verdict.holds:
+        raise AssertionError(
+            "Nil(R)M is not inside N, yet no element violates semiprimeness")
+    return verdict
+
+
+def semiprime_by_nil(N: Submodule) -> bool:
+    """Nil(R)*M <= N: the semiprimeness decision, argued in
+    :func:`is_semiprime_submodule`.  It scans no elements: Nil(R)*M is
+    generated by the products a*e_j of the nilpotents a with the basis
+    images, so it lies in N iff they do."""
+    return nil_generators(N.module) <= N.member_indices
+
+
+def nil_generators(M: ModulePresentation) -> frozenset[int]:
+    """Indices of the products a*e_j of each nilpotent a with each basis
+    image, kept in ``M.derived``.  They are closed under scalars, as r*a is
+    nilpotent, so their additive span is the submodule Nil(R)*M."""
+    return M.derived[_nil_generators, None]
+
+
+def _nil_generators(M: ModulePresentation, _) -> frozenset[int]:
+    nil = nilpotent_radical_of_ideal(zero_ideal(M.ring)).members
+    return frozenset(M.scale_i(a, u) for a in nil for u in M.unit_indices)
+
+
+def semiprime_by_scan(N: Submodule) -> Verdict:
+    """The literal definition, every element scanned: the harness's oracle.
+
     Verdicts are kept in the module's ``derived`` table per member set; the
     corpus sweeps re-ask constantly.
     """
@@ -264,7 +318,7 @@ def compare_notions(M: ModulePresentation,
     rows = []
     for N in enumerate_submodules(M, lattice_bound):
         prime = prime_by_colon(N)
-        semiprime = bool(is_semiprime_submodule(N))
+        semiprime = semiprime_by_nil(N)
         dauns = bool(is_dauns_semiprime(N))
         cimpric = bool(is_cimpric_semiprime(N)) if M.is_free else None
         contradicts = ((prime and not semiprime) or semiprime != dauns

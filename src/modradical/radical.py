@@ -1,12 +1,17 @@
-"""Three independent radical computations for submodules, with traces.
+"""Four radical computations for submodules, with traces.
 
 ``radical_by_iteration`` is the scalable path: it only scans elements, never
 the submodule lattice, and records a step-by-step trace of the growing
 chain.  ``radical_by_primes`` and ``smallest_semiprime_over`` realize the
 definitional forms (intersection of primes above N; intersection of
-semiprimes above N) and are gated by the lattice bound.  On every module the
-three must agree, which the harness and the acceptance suite certify.  A
-chain step's witnesses are the semiprime witnesses of its predecessor.
+semiprimes above N) and are gated by the lattice bound.  ``radical_by_nil``
+is the closed form N + Nil(R)*M over a finite ring, one closure.  On every
+module the four must agree, which the harness and the acceptance suite
+certify.  The first three do not rest on the closed form:
+``smallest_semiprime_over`` tests semiprimeness by the literal scan, and
+the iteration's chain steps come from scans, the closed form deciding only
+where the chain stops, which the harness checks against the scan.  A chain
+step's witnesses are the semiprime witnesses of its predecessor.
 """
 
 from __future__ import annotations
@@ -27,10 +32,12 @@ from .modules import (
 from .predicates import (
     PredicateWitness,
     _qualifiers,
-    _semiprime_verdict,
-    is_semiprime_submodule,
+    nil_generators,
     prime_by_colon,
+    semiprime_by_nil,
+    semiprime_by_scan,
 )
+from .rings import additive_closure
 
 
 class RadicalStep(NamedTuple):
@@ -62,14 +69,15 @@ def first_radical_step(N: Submodule) -> RadicalStep:
     Elements of N always qualify (their colon ideal is the whole ring), so
     the chain can only grow.  The witnesses are the semiprime witnesses of
     N, one per qualifying element outside N, in index order.  A member set
-    with a cached true semiprime verdict has no such element and is its own
-    step; otherwise the closure grows N, already a submodule, by the
-    qualifiers.  Either way the generators are ``sorted(N ∪ qualifiers)``.
+    that contains Nil(R)*M is semiprime (see
+    :func:`~modradical.predicates.is_semiprime_submodule`), so it has no
+    such element and is its own step, with no scan; otherwise the closure
+    grows N, already a submodule, by the qualifiers.  Either way the
+    generators are ``sorted(N ∪ qualifiers)``.
     """
     M = N.module
     ms = N.member_indices
-    known = M.derived.get((_semiprime_verdict, ms))
-    if known is not None and known.holds:
+    if semiprime_by_nil(N):
         return RadicalStep(Submodule(M, ms, tuple(sorted(ms))), ())
     qualifying = dict(_qualifiers(N))
     step = Submodule(M, frozenset(_grow(M, ms, qualifying)),
@@ -86,9 +94,10 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
     """Iterate the single-step radical until the member set stabilizes.
 
     Returns the fixpoint and the trace.  The loop stops at the first step
-    that adds nothing, whose start has no qualifier outside it; that empty
-    scan (or a cached true verdict) is the semiprime verdict, so the
-    fixpoint is semiprime, which is what makes it the radical.
+    that adds nothing, whose start contains Nil(R)*M or has no qualifier
+    outside it; either way the fixpoint is semiprime, which is what makes it
+    the radical.  So the fixpoint is decided by the closed form and never
+    scanned.
 
     The loop ends: a step that does not end it has passed the shrink check
     and differs from its predecessor, so it is a strict superset.  The
@@ -105,6 +114,17 @@ def radical_by_iteration(N: Submodule) -> tuple[Submodule, RadicalTrace]:
         if nxt.member_indices == current.member_indices:
             return nxt, RadicalTrace(tuple(steps))
         current = nxt
+
+
+def radical_by_nil(N: Submodule) -> Submodule:
+    """N + Nil(R)*M, the radical over a finite ring: it is semiprime, and
+    every semiprime S above N contains it, as S contains Nil(R)*M (both by
+    :func:`~modradical.predicates.is_semiprime_submodule`).  One additive
+    closure of N with the generators of Nil(R)*M, whose span it is."""
+    M = N.module
+    gens = nil_generators(M)
+    members = frozenset(additive_closure(N.member_indices, gens, M.add_row))
+    return Submodule(M, members, N.generator_indices + tuple(sorted(gens - N.member_indices)))
 
 
 def prime_submodules(M: ModulePresentation,
@@ -131,13 +151,15 @@ def smallest_semiprime_over(N: Submodule,
 
     The family is never empty (the whole module is semiprime), and the
     intersection of semiprimes is itself semiprime, which is re-checked here.
+    Semiprimeness is the literal scan's, so this method does not rest on the
+    closed form of :func:`radical_by_nil`.
     """
     M = N.module
     out = full_submodule(M)
     for S in enumerate_submodules(M, lattice_bound):
-        if N.issubset(S) and is_semiprime_submodule(S).holds:
+        if N.issubset(S) and semiprime_by_scan(S).holds:
             out = intersect(out, S)
-    if not is_semiprime_submodule(out).holds:
+    if not semiprime_by_scan(out).holds:
         raise AssertionError(
             f"intersection {sorted(out.member_indices)} of semiprimes is not semiprime")
     return out

@@ -526,13 +526,20 @@ def is_prime_ideal(I: Ideal) -> bool:
 
 
 def nilpotent_radical_of_ideal(I: Ideal) -> Ideal:
-    """All elements with some power in ``I`` (the classical radical of an ideal)."""
+    """All elements with some power in ``I`` (the classical radical of an ideal).
+
+    The least k with r^k in I is below the bit length of |R|, so no higher
+    power is tried.  Modulo I the ideals r^j R, j <= k, shrink strictly:
+    r^j R = r^(j+1) R for some j < k would give r^j = r^(j+1) s = ... =
+    r^(j+k) s^k, which lies in I.  Each strict step at least halves the
+    size, so 2^k <= |R/I| <= |R|.
+    """
     ring = I.ring
     ms = I.members
     members = set()
     for r in range(ring.size):
         x = r
-        for _ in range(ring.size):
+        for _ in range(ring.size.bit_length()):
             if x in ms:
                 members.add(r)
                 break

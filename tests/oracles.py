@@ -272,31 +272,31 @@ def is_prime_by_definition(module, ms) -> bool:
 
 def semiprime_sets_by_definition(module) -> list[frozenset[int]]:
     """Submodule sets N with: m in (N:m)M implies m in N, all recomputed literally."""
+    return [ms for ms in all_submodule_sets(module) if is_semiprime_by_definition(module, ms)]
+
+
+def is_semiprime_by_definition(module, ms) -> bool:
+    """The literal semiprime condition on one submodule set ``ms``:
+    m in (N:m)M implies m in N, for every element m."""
     n = module.element_count
-    out = []
-    for ms in all_submodule_sets(module):
-        ok = True
-        for m in range(n):
-            colon = {r for r in range(module.ring.size)
-                     if module.scale_i(r, m) in ms}
-            # (N:m)M = additive span of {r*x : r in colon, x in M}
-            products = {module.scale_i(r, x) for r in colon for x in range(n)}
-            span = {module.zero_index}
-            changed = True
-            while changed:
-                changed = False
-                for s in list(span):
-                    for p in products:
-                        y = module.add_i(s, p)
-                        if y not in span:
-                            span.add(y)
-                            changed = True
-            if m in span and m not in ms:
-                ok = False
-                break
-        if ok:
-            out.append(ms)
-    return out
+    for m in range(n):
+        colon = {r for r in range(module.ring.size)
+                 if module.scale_i(r, m) in ms}
+        # (N:m)M = additive span of {r*x : r in colon, x in M}
+        products = {module.scale_i(r, x) for r in colon for x in range(n)}
+        span = {module.zero_index}
+        changed = True
+        while changed:
+            changed = False
+            for s in list(span):
+                for p in products:
+                    y = module.add_i(s, p)
+                    if y not in span:
+                        span.add(y)
+                        changed = True
+        if m in span and m not in ms:
+            return False
+    return True
 
 
 def colon_by_vectors(arith, member_reps, m) -> frozenset[int]:

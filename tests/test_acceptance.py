@@ -24,6 +24,7 @@ from modradical.radical import (
     first_radical,
     prime_submodules,
     radical_by_iteration,
+    radical_by_nil,
     radical_by_primes,
     smallest_semiprime_over,
 )
@@ -68,6 +69,8 @@ def test_criterion_1_three_way_radical_agreement(corpus, report):
                 f"{inst.instance_id}: primes vs iteration disagree on {N.members}"
             assert by_primes.member_indices == smallest.member_indices, \
                 f"{inst.instance_id}: primes vs smallest-semiprime disagree on {N.members}"
+            assert by_primes.member_indices == radical_by_nil(N).member_indices, \
+                f"{inst.instance_id}: primes vs N + Nil(R)M disagree on {N.members}"
             checked += 1
     elapsed = time.perf_counter() - t0 + report.wall_time
     assert elapsed < RUNTIME_TARGET_SECONDS
@@ -75,6 +78,7 @@ def test_criterion_1_three_way_radical_agreement(corpus, report):
     assert by_id["THM-ITERATION"].failed == 0
     assert by_id["THM-RADICAL-EQ-SEMIPRIME"].failed == 0
     _announce(1, f"radical_by_primes = radical_by_iteration = smallest_semiprime_over "
+                 f"= radical_by_nil "
                  f"on {checked} submodules across {len(corpus)} modules "
                  f"({elapsed:.1f}s)")
 

@@ -14,6 +14,7 @@ import pytest
 import modradical.cli
 import modradical.instance
 import modradical.modules
+import modradical.rings
 from modradical import harness, predicates, radical
 from modradical.cli import main
 from modradical.instance import parse_instance
@@ -455,6 +456,35 @@ def test_element_bound_exceeded_names_flag(tmp_path, capsys):
     assert code == 2
     assert err == ("error: enumerating Z/2^20000 needs 2^20000 elements but the bound "
                    "is 65536; raise it with --element-bound\n")
+
+
+@pytest.mark.parametrize("ring,rank,size", [
+    ("Z/2000", 1, 2000),
+    ("Z/2000", 0, 2000),
+    ("GF(128) poly=[1,1,0,0,0,0,0,1]", 1, 128),
+    ("product(Z/20, Z/10)", 1, 200),
+])
+def test_a_ring_past_the_element_bound_is_rejected_before_tabulation(
+        monkeypatch, tmp_path, capsys, ring, rank, size):
+    # |R| is read from the descriptor, so even a rank-0 module (one element)
+    # over too large a ring exits 2, and the ring's tables are never built
+    monkeypatch.setattr(modradical.rings, "_RING_CACHE", {})
+    inst = tmp_path / "big_ring.instance"
+    inst.write_text(f"ring {ring}\nmodule rank={rank} relations=[]\nsubmodule N gens=[]\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-prime", str(inst), "N", "--element-bound", "100")
+    assert (code, out) == (2, "")
+    assert err == (f"error: tabulating the ring {ring} needs {size} elements but the "
+                   "bound is 100; raise it with --element-bound\n")
+    assert all(r.size <= 100 for r in modradical.rings._RING_CACHE.values())
+
+
+def test_a_ring_at_the_element_bound_is_accepted(tmp_path, capsys):
+    inst = tmp_path / "ring.instance"
+    inst.write_text("ring product(Z/5, Z/4)\nmodule rank=0 relations=[]\n"
+                    "submodule N gens=[]\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-prime", str(inst), "N", "--element-bound", "20")
+    assert (code, err) == (0, "") and out.endswith("verdict: FAILS\n")
 
 
 def test_check_cimpric_rejects_non_free_instance(tmp_path, capsys):

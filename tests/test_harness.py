@@ -226,19 +226,46 @@ def test_verify_z4_alone_checks_iteration_on_three_submodules():
     assert by_id["THM-ITERATION"].failed == 0
 
 
-def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch):
+@pytest.mark.parametrize("nil_agrees,detail", [
+    (False, "iterated radical differs from N + Nil(R)M: "),
+    (True, "iterated radical differs from the intersection of primes: "),
+])
+def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch, nil_agrees,
+                                                                  detail):
     # a first step of M leaves the chain growing and its fixpoint semiprime,
-    # so only the comparison with the intersection of primes catches it
+    # so only the comparisons with N + Nil(R)M and, when that closed form is
+    # made to agree with the fault, with the intersection of primes catch it
     monkeypatch.setattr(radical, "first_radical_step",
                         lambda N: (modules.full_submodule(N.module), ()))
+    if nil_agrees:
+        monkeypatch.setattr(harness, "radical_by_nil",
+                            lambda N: modules.full_submodule(N.module))
     report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
     by_id = {c.claim_id: c for c in report.claims}
     tally = by_id.pop("THM-ITERATION")
     assert (tally.checked, tally.failed) == (15, 8)
-    assert all(f.detail.startswith("iterated radical differs from the intersection "
-                                   "of primes: ") for f in tally.findings)
+    assert all(f.detail.startswith(detail) for f in tally.findings)
     assert all(f.replay() for f in tally.findings)
     assert all(c.failed == 0 for c in by_id.values())
+
+
+@pytest.mark.parametrize("decision,failed", [(True, 1), (False, 14)])
+def test_a_wrong_semiprime_decision_fails_iteration(monkeypatch, decision, failed):
+    # Z/4 has one non-semiprime submodule, 0, and Z/4, Z/6 fourteen semiprime
+    # ones; a closed form that answers one way for all is caught against the
+    # literal scan either way, as a finding and not as the library's error
+    for mod in (predicates, radical, harness):
+        monkeypatch.setattr(mod, "semiprime_by_nil", lambda N: decision)
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tally = by_id.pop("THM-ITERATION")
+    assert (tally.checked, tally.failed) == (15, failed) and not report.ok
+    assert [f.detail for f in tally.findings] == [
+        "semiprime decision from Nil(R)M differs from the literal scan"] * failed
+    assert all(c.failed == 0 for c in by_id.values())
+    assert all(f.replay() for f in tally.findings)
+    monkeypatch.undo()
+    assert not any(f.replay() for f in tally.findings)
 
 
 def test_verify_surfaces_a_shrinking_chain_as_the_library_error(monkeypatch):
@@ -259,7 +286,7 @@ def _witnesses_with_a_wrong_colon(N):
 
 def _semiprime_flipped_for_the_radical_claim(N):
     # every claim asks whether N is semiprime; only THM-RADICAL-EQ-SEMIPRIME hears a lie
-    verdict = predicates.is_semiprime_submodule(N)
+    verdict = predicates.semiprime_by_scan(N)
     if sys._getframe(1).f_code is harness._check_radical_eq.__code__:
         return Verdict(not verdict.holds)
     return verdict
@@ -278,9 +305,12 @@ def _semiprime_flipped_for_the_radical_claim(N):
     ("smallest_semiprime_over", lambda N, bound: modules.full_submodule(N.module),
      "THM-RADICAL-EQ-SEMIPRIME", 15, 8,
      r"radical differs from the smallest semiprime overmodule: \[[(),0-9]*\] vs \[[(),0-9]*\]"),
-    ("is_semiprime_submodule", _semiprime_flipped_for_the_radical_claim,
+    ("semiprime_by_scan", _semiprime_flipped_for_the_radical_claim,
      "THM-RADICAL-EQ-SEMIPRIME", 15, 8,
      r"semiprime does not coincide with being a radical submodule"),
+    ("radical_by_nil", lambda N: N,
+     "THM-ITERATION", 15, 1,
+     r"iterated radical differs from N \+ Nil\(R\)M: \[[(),0-9]*\] vs \[[(),0-9]*\]"),
 ])
 def test_each_claim_failure_surfaces_as_a_finding_that_replays(
         monkeypatch, name, fault, claim_id, checked, failed, detail):
@@ -479,7 +509,7 @@ def test_quotient_reports_a_flipped_quotient_verdict(monkeypatch):
     # where it is asked as a forward image: for N = M' = <(2)> in free Z/4, and
     # for N = M' = 0 in Z/4 / <(2)> itself, whose quotient by 0 is itself
     target = presented_module(rings.make_zn(4), 1, [(2,)])
-    forward, verdict = modules.Quotient.forward_submodule, harness.is_semiprime_submodule
+    forward, verdict = modules.Quotient.forward_submodule, harness.semiprime_by_scan
     images = []
 
     def remembered(self, N):
@@ -493,7 +523,7 @@ def test_quotient_reports_a_flipped_quotient_verdict(monkeypatch):
         return found
 
     monkeypatch.setattr(modules.Quotient, "forward_submodule", remembered)
-    monkeypatch.setattr(harness, "is_semiprime_submodule", flipped)
+    monkeypatch.setattr(harness, "semiprime_by_scan", flipped)
     tally = quotient_tally(spec_of(rings=("Z/4", "Z/6")))
     assert (tally.checked, tally.failed) == (226, 2)
     assert [f.detail for f in tally.findings] == [

@@ -184,6 +184,19 @@ def test_parsing_one_generator_instance_builds_no_scaled_row(monkeypatch):
     assert not rows_built(inst.module, modules._scaled_row)
 
 
+def test_generating_from_zero_builds_no_add_row(monkeypatch):
+    # grown from zero, a submodule is the cyclic set R*g, already closed under +
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    inst = parse_instance("ring Z/16\nmodule rank=4 relations=[]\n"
+                          "submodule N gens=[(4,0,0,0)]\n")
+    assert inst.submodules["N"].members == ((0, 0, 0, 0), (4, 0, 0, 0), (8, 0, 0, 0),
+                                            (12, 0, 0, 0))
+    assert not rows_built(inst.module, modules._add_row)
+    # a second generator joins R*g with additions, which do build rows
+    two = submodule_generate(inst.module, [(4, 0, 0, 0), (0, 8, 0, 0)])
+    assert two.size == 8 and rows_built(inst.module, modules._add_row)
+
+
 # -- quotients -----------------------------------------------------------------
 
 

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from modradical import modules, predicates
@@ -23,6 +28,7 @@ from modradical.predicates import (
     is_semiprime_submodule,
     prime_by_colon,
     prime_by_scan,
+    semiprime_by_scan,
 )
 from modradical.radical import first_radical_step, prime_submodules
 from modradical.rings import is_semiprime_ideal, make_gf, make_product, make_zn
@@ -178,6 +184,54 @@ def test_a_false_prime_verdict_on_z16_rank4_skips_the_units(monkeypatch, tmp_pat
     assert _scaled_rows_built(M) == [2]
     P = submodule_generate(M, [(4, 0, 0, 0)])
     assert is_prime_submodule(P) == prime_by_scan(P)
+
+
+def test_a_true_semiprime_verdict_on_z16_rank4_scans_nothing(monkeypatch, tmp_path):
+    # N = <e1, 2e2, 2e3, 2e4> contains Nil(Z/16)M = 2M, so the verdict is decided
+    # from (N:M) without a qualifier scan or a scaled row
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    scans = []
+    qualifiers = predicates._qualifiers
+    monkeypatch.setattr(predicates, "_qualifiers",
+                        lambda N: scans.append(N) or qualifiers(N))
+    path = tmp_path / "z16.instance"
+    path.write_text(f"{Z16_RANK4}submodule N gens=[(1,0,0,0),(0,2,0,0),(0,0,2,0),(0,0,0,2)]\n",
+                    encoding="utf-8")
+    assert main(["check-semiprime", str(path), "N", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").read_text(encoding="utf-8").endswith("verdict: holds\n")
+    (M,) = modules._PRESENTATION_CACHE.values()
+    assert scans == [] and _scaled_rows_built(M) == []
+
+
+def test_a_false_semiprime_verdict_on_z16_rank4_is_the_literal_scan(monkeypatch):
+    monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
+    M = free_module(make_zn(16), 4)
+    N = submodule_generate(M, [(4, 0, 0, 0)])
+    verdict = is_semiprime_submodule(N)
+    assert not verdict.holds and verdict.witness.replays()
+    assert verdict.witness.m == (0, 0, 0, 4)
+    assert verdict is semiprime_by_scan(N)
+
+
+def test_a_false_semiprime_decision_on_a_semiprime_raises_under_optimize():
+    # the raise is no assert statement, so it also holds under python -O
+    code = ("from modradical import predicates\n"
+            "from modradical.modules import free_module, submodule_generate\n"
+            "from modradical.rings import make_zn\n"
+            "two = submodule_generate(free_module(make_zn(4), 1), [(2,)])\n"
+            "predicates.semiprime_by_nil = lambda N: False\n"
+            "try:\n"
+            "    predicates.is_semiprime_submodule(two)\n"
+            "except AssertionError as exc:\n"
+            "    print('rejected:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("rejected: Nil(R)M is not inside N, yet no element "
+                           "violates semiprimeness\n")
 
 
 def test_a_false_decision_on_a_prime_raises(monkeypatch, z4_line):

@@ -17,8 +17,8 @@ from modradical.modules import (
     presented_module,
     submodule_generate,
 )
-from modradical.predicates import is_semiprime_submodule
-from modradical.radical import radical_by_primes
+from modradical.predicates import is_semiprime_submodule, semiprime_by_scan
+from modradical.radical import radical_by_iteration, radical_by_nil, radical_by_primes
 from modradical.report import render_structured
 from modradical.rings import (
     ideal_generate,
@@ -135,6 +135,36 @@ def test_radical_is_monotone_under_join(pair, data):
     N2 = submodule_generate(M, gens)
     bigger = join(N1, N2)
     assert radical_by_primes(N1).issubset(radical_by_primes(bigger))
+
+
+NIL_RINGS = [make_zn(n) for n in (2, 3, 4, 6, 8, 9, 12, 16)] + [
+    make_gf(2, 2, [1, 1, 1]), make_product([make_zn(2), make_zn(4)])]
+
+
+@st.composite
+def small_module_and_submodule(draw):
+    """A free or presented module of at most 16 elements, so that the
+    definition oracle stays quick, and a submodule of it."""
+    ring = draw(st.sampled_from(NIL_RINGS))
+    rank = draw(st.integers(0, 2))
+    rels = [tuple(draw(st.integers(0, ring.size - 1)) for _ in range(rank))
+            for _ in range(draw(st.integers(0, 2)))]
+    M = presented_module(ring, rank, rels)
+    assume(M.element_count <= 16)
+    gens = [M.elements[draw(st.integers(0, M.element_count - 1))]
+            for _ in range(draw(st.integers(0, 2)))]
+    return M, submodule_generate(M, gens)
+
+
+@given(small_module_and_submodule())
+@settings(max_examples=80, deadline=None)
+def test_semiprime_decision_from_nil_matches_the_literal_scan(pair):
+    M, N = pair
+    verdict = is_semiprime_submodule(N)
+    assert verdict == semiprime_by_scan(N)
+    assert verdict.holds == oracles.is_semiprime_by_definition(M, N.member_indices)
+    assert verdict.holds or verdict.witness.replays()
+    assert radical_by_nil(N).member_indices == radical_by_iteration(N)[0].member_indices
 
 
 @given(module_and_submodule())

@@ -25,6 +25,7 @@ from modradical.radical import (
     first_radical_step,
     prime_submodules,
     radical_by_iteration,
+    radical_by_nil,
     radical_by_primes,
     smallest_semiprime_over,
 )
@@ -152,8 +153,8 @@ def test_first_radical_step_matches_generation_from_a_full_scan(monkeypatch):
                 assert step.member_indices == expected.member_indices
                 assert step.generator_indices == expected.generator_indices
                 assert witnesses == tuple(qualifying.values())
-            # a member set known to be semiprime is its own step, with no scan
-            assert scans == [N.member_indices] * (1 if semiprime else 2)
+            # a member set that contains Nil(R)M is its own step, with no scan
+            assert scans == [N.member_indices] * (0 if semiprime else 2)
             scans.clear()
 
 
@@ -186,8 +187,8 @@ def test_radical_by_iteration_plane(z4_plane):
 
 
 def test_cold_iteration_scans_once_per_chain_step(monkeypatch):
-    # the last step's empty scan is the fixpoint's semiprime verdict, so the
-    # fixpoint is not scanned a second time
+    # the closed form decides that the fixpoint is semiprime, so every chain
+    # member but the fixpoint is scanned once and the fixpoint not at all
     scans = []
 
     def counted(N):
@@ -203,11 +204,12 @@ def test_cold_iteration_scans_once_per_chain_step(monkeypatch):
         for N in enumerate_submodules(M):
             scans.clear()
             fixpoint, trace = radical_by_iteration(N)
-            assert scans == [N.member_indices] + [
-                step.submodule.member_indices for step in trace.steps[:-1]]
+            chain = [N] + [step.submodule for step in trace.steps[:-1]]
+            assert chain[-1].member_indices == fixpoint.member_indices
+            assert scans == [S.member_indices for S in chain[:-1]]
             fixpoints.append(fixpoint)
-        # checked once every chain has run, as a verdict would warm the table
-        assert all(is_semiprime_submodule(F).holds for F in fixpoints)
+        # checked once every chain has run, as a literal verdict would warm the table
+        assert all(predicates.semiprime_by_scan(F).holds for F in fixpoints)
 
 
 def test_trace_chain_is_weakly_increasing_and_replayable():
@@ -249,6 +251,7 @@ def test_three_methods_agree_on_small_modules():
             by_smallest = smallest_semiprime_over(N)
             assert by_primes.member_indices == by_iter.member_indices
             assert by_primes.member_indices == by_smallest.member_indices
+            assert by_primes.member_indices == radical_by_nil(N).member_indices
 
 
 def test_semiprime_iff_radical_fixpoint():
@@ -297,7 +300,7 @@ def test_whole_module_radical_is_whole_module():
 
 
 def test_radical_invariants_are_checked_under_optimize():
-    # a predicate that rejects everything breaks the semiprime intersection
+    # a literal scan that rejects everything breaks the semiprime intersection
     # check, a step that drops to zero breaks the growing chain, and an ideal
     # test that rejects everything breaks the colon-ideal check
     code = ("from modradical import radical\n"
@@ -310,7 +313,7 @@ def test_radical_invariants_are_checked_under_optimize():
             "        method(N)\n"
             "    except AssertionError as exc:\n"
             "        print('rejected:', exc)\n"
-            "radical.is_semiprime_submodule = lambda N: Verdict(False)\n"
+            "radical.semiprime_by_scan = lambda N: Verdict(False)\n"
             "rejected(radical.smallest_semiprime_over, zero_submodule(M))\n"
             "radical.first_radical_step = lambda N: (zero_submodule(M), ())\n"
             "rejected(radical.radical_by_iteration, full_submodule(M))\n"
