@@ -61,11 +61,6 @@ CHECK_COMMANDS = {
 }
 
 
-def _context(inst: InstanceFile) -> dict:
-    return {"ring": inst.ring.descriptor,
-            "module": format_module(inst.module.rank, inst.relations)}
-
-
 def _named_submodule(inst: InstanceFile, name: str):
     sub = inst.submodules.get(name)
     if sub is None:
@@ -120,9 +115,6 @@ def _run_check(inst: InstanceFile, flags: SimpleNamespace, command: str) -> tupl
     N = _named_submodule(inst, flags.name)
     verdict = CHECK_COMMANDS[command](N)
     return {
-        "command": command,
-        **_context(inst),
-        "name": flags.name,
         "members": format_vec_list(N.members),
         "holds": verdict.holds,
         "witness": _witness_data(verdict),
@@ -147,8 +139,6 @@ def _run_compare(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]
     texts = _Texts(inst.module)
     contradictions = sum("CONTRADICTS-THEOREM" in r.flags for r in rows)
     return {
-        "command": "compare",
-        **_context(inst),
         "rows": [_row_data(r, texts) for r in rows],
         "contradictions": contradictions,
         # squares condition <=> semiprime over finite rings (PROP-COLON-SEMIPRIME)
@@ -164,10 +154,7 @@ def _run_radical(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]
     agree = (by_primes.member_indices == by_iteration.member_indices
              == smallest.member_indices)
     texts = _Texts(inst.module)
-    data = {
-        "command": "radical",
-        **_context(inst),
-        "name": flags.name,
+    return {
         "members": texts.members(by_primes),
         "methods": {
             "primes": texts.members(by_primes),
@@ -175,8 +162,7 @@ def _run_radical(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]
             "smallest_semiprime": texts.members(smallest),
         },
         "agree": agree,
-    }
-    return data, (0 if agree else 1)
+    }, (0 if agree else 1)
 
 
 def _run_radical_trace(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
@@ -206,9 +192,6 @@ def _run_radical_trace(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict
         })
         prev = step.submodule
     return {
-        "command": "radical-trace",
-        **_context(inst),
-        "name": flags.name,
         "start": texts.members(N),
         "steps": steps,
         "fixpoint": {
@@ -222,8 +205,6 @@ def _run_primes(inst: InstanceFile, flags: SimpleNamespace) -> tuple[dict, int]:
     primes = prime_submodules(inst.module, flags.lattice_bound)
     texts = _Texts(inst.module)
     return {
-        "command": "primes",
-        **_context(inst),
         "count": len(primes),
         "primes": [{"members": texts.members(P),
                     "generators": texts.listing(P.generator_indices)} for P in primes],
@@ -243,7 +224,6 @@ def _spec_data(spec: CorpusSpec) -> dict:
 
 def verify_report_data(report: VerificationReport, include_timing: bool = False) -> dict:
     data: dict = {
-        "command": "verify",
         "spec": _spec_data(report.spec),
         "instances": report.instances,
         "submodules": report.submodules,
@@ -306,6 +286,7 @@ class Command(NamedTuple):
 
     args: tuple[str, ...]    # positionals, keys of ARGS
     flags: tuple[str, ...]   # keys of FLAGS
+    # the report less the header that run_command stamps, and the exit code
     run: Callable[[InstanceFile | None, SimpleNamespace], tuple[dict, int]]
     help: str
 
@@ -330,20 +311,32 @@ COMMANDS = {
 
 def run_command(instance: InstanceFile | None, command: str,
                 flags: SimpleNamespace) -> tuple[dict, int]:
-    """Dispatch one command against a parsed instance; returns (report, exit code)."""
+    """Dispatch one command against a parsed instance; returns (report, exit code).
+
+    The report's header is stamped here: ``command``, then ``ring`` and
+    ``module`` for a command that reads a file and ``name`` for one that
+    takes a submodule name.
+    """
     entry = COMMANDS.get(command)
     if entry is None:
         raise ValueError(f"unknown command {command!r}")
     if instance is None and entry.args:
         raise ValueError(f"{command} needs an instance file")
-    return entry.run(instance, flags)
+    header = {"command": command}
+    if "file" in entry.args:
+        header.update(ring=instance.ring.descriptor,
+                      module=format_module(instance.module.rank, instance.relations))
+    if "name" in entry.args:
+        header["name"] = flags.name
+    report, code = entry.run(instance, flags)
+    return {**header, **report}, code
 
 
 # -- text rendering ------------------------------------------------------------------
 
 
 def render_text(data: dict) -> str:
-    command = data.get("command", "?")
+    command = data["command"]
     lines = [f"{command}: ring {data['ring']}, module {data['module']}"
              if "ring" in data else f"{command}"]
     if command in CHECK_COMMANDS:

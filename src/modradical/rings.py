@@ -158,40 +158,22 @@ class RingElement(namedtuple("RingElement", "ring code")):
             raise ValueError(f"code {code} out of range for {ring.descriptor}")
         return super().__new__(cls, ring, code)
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError("elements of different rings")
-            return other.code
+    def _combine(self, other, op):
+        """``op`` on the codes of ``self`` and ``other``, an element of the same
+        ring or an int code, as an element; NotImplemented for anything else."""
         if isinstance(other, int):
-            if not 0 <= other < self.ring.size:
-                raise ValueError(f"code {other} out of range for {self.ring.descriptor}")
-            return other
-        if type(other) is tuple:   # tuple + element would concatenate
+            other = RingElement(self.ring, other)   # rejects a code out of range
+        elif type(other) is tuple:   # tuple + element would concatenate
             raise TypeError(f"cannot combine a tuple with {self!r}")
-        return NotImplemented
-
-    def __add__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
+        elif not isinstance(other, RingElement):
             return NotImplemented
-        return RingElement(self.ring, self.ring.add(self.code, code))
+        if other.ring != self.ring:
+            raise ValueError("elements of different rings")
+        return RingElement(self.ring, op(self.ring, self.code, other.code))
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.sub(self.code, code))
-
-    def __mul__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.mul(self.code, code))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = lambda self, other: self._combine(other, FiniteRing.add)
+    __sub__ = lambda self, other: self._combine(other, FiniteRing.sub)
+    __mul__ = __rmul__ = lambda self, other: self._combine(other, FiniteRing.mul)
 
     def __neg__(self):
         return RingElement(self.ring, self.ring.neg(self.code))

@@ -46,6 +46,24 @@ def test_documented_commands_match_golden_bytes(capsys, command, instance, golde
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", [c for c in modradical.cli.COMMANDS if c != "verify"])
+def test_every_text_report_matches_its_golden_bytes(capsys, command):
+    name = ("N",) if "name" in modradical.cli.COMMANDS[command].args else ()
+    code, out, err = run_cli(capsys, command, str(GOLDEN / "z4sq_torsion.instance"), *name)
+    assert code == 0 and err == ""
+    golden = GOLDEN / f"{command.replace('-', '_')}_z4sq.text"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_verify_text_report_matches_its_golden_bytes_but_the_wall_time(capsys):
+    code, out, err = run_cli(capsys, "verify", "--spec", str(GOLDEN / "two_rings.spec"))
+    assert code == 0 and err == ""
+    lines = out.splitlines(keepends=True)
+    assert re.fullmatch(r"wall time: \d+\.\d{3}s\n", lines[-2])
+    del lines[-2]
+    assert "".join(lines) == (GOLDEN / "verify_two_rings.text").read_text(encoding="utf-8")
+
+
 def test_readme_quick_tour_prints_what_its_comments_say(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library quick tour", 1)[1]
@@ -110,21 +128,6 @@ def test_text_mode_radical(capsys):
     assert "methods agree: yes" in out
 
 
-def test_text_mode_radical_trace(capsys):
-    code, out, err = run_cli(capsys, "radical-trace", str(GOLDEN / "z4sq_torsion.instance"), "N")
-    assert code == 0 and err == ""
-    assert out == (
-        "radical-trace: ring Z/4, module rank=2 relations=[]\n"
-        "start N = [(0,0),(2,0)]\n"
-        "step 1: members [(0,0),(0,2),(2,0),(2,2)]\n"
-        "  new: [(0,2),(2,2)]\n"
-        "  qualifier m=(0,2): colon [0,2], colon*M [(0,0),(0,2),(2,0),(2,2)]\n"
-        "  qualifier m=(2,2): colon [0,2], colon*M [(0,0),(0,2),(2,0),(2,2)]\n"
-        "step 2: members [(0,0),(0,2),(2,0),(2,2)]\n"
-        "  new: []\n"
-        "fixpoint at index 2: [(0,0),(0,2),(2,0),(2,2)]\n")
-
-
 def test_radical_exits_one_when_methods_disagree(capsys, monkeypatch):
     monkeypatch.setattr(modradical.cli, "radical_by_iteration",
                         lambda N: (full_submodule(N.module), None))
@@ -163,14 +166,6 @@ def test_primes_command(capsys):
 
 
 # -- verify ------------------------------------------------------------------------
-
-
-def test_verify_small_spec_exits_zero(tmp_path, capsys):
-    spec = tmp_path / "tiny.spec"
-    spec.write_text("rings Z/4, Z/6\nmax_rank 1\nstrategies free\n", encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify", "--spec", str(spec))
-    assert code == 0
-    assert "all claims pass" in out
 
 
 def test_text_mode_verify_prints_each_finding_with_its_instance(tmp_path, capsys, monkeypatch):

@@ -292,6 +292,12 @@ def _semiprime_flipped_for_the_radical_claim(N):
     return verdict
 
 
+def _semiprime_verdict_without_its_witness(N):
+    # the decision stays right; only a false verdict's witness is lost
+    verdict = predicates.semiprime_by_scan(N)
+    return verdict if verdict.holds else Verdict(False)
+
+
 @pytest.mark.parametrize("name,fault,claim_id,checked,failed,detail", [
     ("is_prime_submodule", lambda N: Verdict(True),
      "PROP-PRIME-IMPLIES-SP", 15, 9,
@@ -308,6 +314,8 @@ def _semiprime_flipped_for_the_radical_claim(N):
     ("semiprime_by_scan", _semiprime_flipped_for_the_radical_claim,
      "THM-RADICAL-EQ-SEMIPRIME", 15, 8,
      r"semiprime does not coincide with being a radical submodule"),
+    ("is_semiprime_submodule", _semiprime_verdict_without_its_witness,
+     "THM-ITERATION", 15, 1, r"semiprime verdict differs from the literal scan"),
     ("radical_by_nil", lambda N: N,
      "THM-ITERATION", 15, 1,
      r"iterated radical differs from N \+ Nil\(R\)M: \[[(),0-9]*\] vs \[[(),0-9]*\]"),

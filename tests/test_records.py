@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from types import ModuleType
+
 import pytest
 
+import modradical
 from modradical import (
     CorpusSpec,
     DEFAULT_CORPUS_SPEC,
@@ -22,6 +25,16 @@ from modradical import (
 from modradical.predicates import is_prime_submodule, is_semiprime_submodule
 from modradical.radical import radical_by_iteration
 from modradical.rings import make_zn
+
+
+def test_the_package_exports_each_name_it_imports_and_nothing_else():
+    star: dict = {}
+    exec("from modradical import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == modradical.__all__ and len(star) == 63
+    assert not any(isinstance(v, ModuleType) for v in star.values())
+    assert {getattr(v, "__module__", "modradical").partition(".")[0]
+            for v in star.values()} == {"modradical"}
 
 
 def test_records_keep_their_operators_equality_and_immutability():

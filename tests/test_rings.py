@@ -234,6 +234,29 @@ def test_ring_element_operators():
         RingElement(z12, 12)
 
 
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__", "__radd__", "__rmul__"])
+def test_ring_element_operators_reject_what_is_not_an_element_of_their_ring(op):
+    a = make_zn(12).element(7)
+    with pytest.raises(ValueError, match="elements of different rings"):
+        getattr(a, op)(make_zn(6).element(1))
+    for code in (12, -1):
+        with pytest.raises(ValueError, match=f"code {code} out of range for Z/12"):
+            getattr(a, op)(code)
+    with pytest.raises(TypeError, match="cannot combine a tuple"):
+        getattr(a, op)((1,))
+    assert getattr(a, op)(1.5) is NotImplemented
+
+
+def test_ring_element_operators_take_an_int_on_either_side():
+    a = make_zn(12).element(7)
+    assert (5 + a, 5 * a, a - 9) == (a + 5, a * 5, a + 3)
+    assert ((5 + a).code, (5 * a).code, (a - 9).code) == (0, 11, 10)
+    with pytest.raises(TypeError):
+        (1,) + a
+    with pytest.raises(TypeError):
+        a + "1"
+
+
 # -- ideals -------------------------------------------------------------------
 
 
@@ -243,6 +266,17 @@ def test_ideal_generate_examples():
     assert ideal_generate(z12, []).members == frozenset({0})
     z4 = make_zn(4)
     assert ideal_generate(z4, [3]).members == frozenset(range(4))  # 3 is a unit
+
+
+def test_ideal_membership_and_order():
+    z12 = make_zn(12)
+    assert z12.elements == range(12)
+    I, J = ideal_generate(z12, [4]), ideal_generate(z12, [2])
+    assert 8 in I and z12.element(8) in I
+    assert 6 not in I and z12.element(6) not in I
+    assert I.issubset(J) and not J.issubset(I)
+    assert I.is_proper and not unit_ideal(z12).is_proper
+    assert zero_ideal(z12).is_zero and not I.is_zero
 
 
 # In Z/12, 6 has additive order 2, 4 order 3 and 3 order 4; in Z/2 x Z/4
@@ -375,6 +409,25 @@ def test_axioms_are_checked_at_construction():
     mul = tuple(tuple((a * b) % 3 for b in range(3)) for a in range(3))
     with pytest.raises(RingConstructionError):
         FiniteRing(3, bad_add, mul, 0, 1, "broken")
+
+
+# Each pair of tables breaks exactly the axiom named, and no check made before it.
+@pytest.mark.parametrize("add,mul,message", [
+    (((0, 1), (0, 0)), ((0, 0), (0, 1)), "additive identity fails at 1"),
+    (((0, 1), (1, 0)), ((0, 0), (0, 0)), "multiplicative identity fails at 1"),
+    (((0, 1), (1, 1)), ((0, 0), (0, 1)), "no additive inverse for 1"),
+    (((0, 0), (1, 0)), ((0, 0), (0, 1)), r"\+ not commutative at \(0,1\)"),
+    (((0, 1), (1, 0)), ((0, 0), (1, 1)), r"\* not commutative at \(0,1\)"),
+    (((0, 1, 2), (1, 1, 0), (2, 0, 1)), ((0, 0, 0), (0, 1, 2), (0, 2, 1)),
+     r"\+ not associative at \(1,1,2\)"),
+    (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 0, 1), (0, 1, 2), (1, 2, 1)),
+     r"\* not associative at \(0,0,2\)"),
+    (((0, 1), (1, 0)), ((1, 0), (0, 1)), r"distributivity fails at \(0,0,0\)"),
+], ids=["add-identity", "mul-identity", "add-inverse", "add-commutative",
+        "mul-commutative", "add-associative", "mul-associative", "distributive"])
+def test_each_ring_axiom_is_checked_at_construction(add, mul, message):
+    with pytest.raises(RingConstructionError, match=f"^broken: {message}$"):
+        FiniteRing(len(add), add, mul, 0, 1, "broken")
 
 
 def test_axioms_are_checked_under_optimize():
