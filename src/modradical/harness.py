@@ -27,6 +27,7 @@ from .instance import (
     render_instance,
 )
 from .modules import (
+    BoundExceededError,
     DEFAULT_ELEMENT_BOUND,
     DEFAULT_LATTICE_BOUND,
     ModulePresentation,
@@ -523,7 +524,11 @@ def _ring_text(cur) -> str:
     """Parse one ring descriptor and return its text, as ``CorpusSpec`` keeps it."""
     cur.skip_ws()
     start = cur.pos
-    _parse_descriptor(cur)
+    try:   # expand_corpus admits no module over a ring past this bound, at any rank
+        _parse_descriptor(cur, DEFAULT_ELEMENT_BOUND)
+    except BoundExceededError as exc:
+        cur.error(f"{exc.what} needs {exc.needed} elements, but no corpus module "
+                  f"may have more than {exc.bound}", start)
     return cur.text[start:cur.pos]
 
 

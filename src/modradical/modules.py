@@ -60,6 +60,7 @@ class BoundExceededError(RuntimeError):
         super().__init__(
             f"{what} needs {needed} elements but the bound is {bound}; "
             f"raise it with {flag}")
+        self.what = what
         self.needed = needed
         self.bound = bound
         self.flag = flag

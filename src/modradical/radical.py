@@ -153,11 +153,16 @@ def smallest_semiprime_over(N: Submodule,
     intersection of semiprimes is itself semiprime, which is re-checked here.
     Semiprimeness is the literal scan's, so this method does not rest on the
     closed form of :func:`radical_by_nil`.
+
+    A set that contains the running intersection is not scanned, since
+    intersecting with it changes nothing whatever its verdict.  The lattice
+    comes in size order, so the one scan before the re-check that can hold is
+    that of the least semiprime above N, and only when it is not M.
     """
     M = N.module
     out = full_submodule(M)
     for S in enumerate_submodules(M, lattice_bound):
-        if N.issubset(S) and semiprime_by_scan(S).holds:
+        if N.issubset(S) and not out.issubset(S) and semiprime_by_scan(S).holds:
             out = intersect(out, S)
     if not semiprime_by_scan(out).holds:
         raise AssertionError(

@@ -313,6 +313,8 @@ class Ideal(NamedTuple):
 
     def __contains__(self, r) -> bool:
         if isinstance(r, RingElement):
+            if r.ring != self.ring:
+                raise ValueError("element of a different ring")
             r = r.code
         return r in self.members
 
@@ -325,6 +327,8 @@ class Ideal(NamedTuple):
         return self.members == frozenset({self.ring.zero})
 
     def issubset(self, other: "Ideal") -> bool:
+        if other.ring != self.ring:
+            raise ValueError("ideals of different rings")
         return self.members <= other.members
 
     def __repr__(self) -> str:
@@ -402,10 +406,12 @@ def lattice_by_joins(size: int, zero: int, scalar_rows, row_of) -> list[tuple]:
         tried, and the generators are those of a walk that joins every set
         with every cyclic set.
 
-    A frontier entry holds the list of its parent's new children, shared with
-    its siblings, and the offset of its later siblings in that list.  Tests
-    (1) and (2) read only tuples as long as the frontier's, so the tuples of
-    one level are kept until the next level is built.
+    Tests (1) and (2) filter a set's candidates once.  A frontier entry holds
+    its parent's new children (each ``i`` with ``u + (gens[i],)`` recorded,
+    ``u`` the parent's tuple), shared with its siblings, and the offset of its
+    later siblings: the candidates of (1).  (2) for ``p`` keeps the new
+    children of ``t`` less ``t[p]``.  So exactly what (1) and (2) admitted is
+    kept, in order, the same closures run, and a set left with none is skipped.
     """
     first_gen: dict[frozenset[int], int] = {}
     for x in range(size):
@@ -414,28 +420,31 @@ def lattice_by_joins(size: int, zero: int, scalar_rows, row_of) -> list[tuple]:
     gens = [first_gen[C] for C in cyclics]
     zero_ms = frozenset({zero})
     gens_of: dict[frozenset[int], tuple[int, ...]] = {zero_ms: ()}
-    recorded = {()}
+    kids_of: dict[tuple[int, ...], set[int]] = {}   # the frontier's parents' new children
     frontier = [(zero_ms, range(len(cyclics)), 0)]
     while frontier:
-        nxt, found = [], set()
+        nxt, kids = [], {}
         for S, siblings, start in frontier:
             t = gens_of[S]
+            candidates = siblings[start:]
+            for p in range(len(t) - 1):
+                dropped = kids_of.get(t[:p] + t[p + 1:], ())
+                candidates = [i for i in candidates if i in dropped]
+            if not candidates:
+                continue
             reached = set(S)
-            children: list[int] = []
-            for k in range(start, len(siblings)):
-                i = siblings[k]
+            kids[t] = children = []
+            for i in candidates:
                 g = gens[i]
-                if g in reached or not all(t[:p] + t[p + 1:] + (g,) in recorded
-                                           for p in range(len(t) - 1)):
+                if g in reached:
                     continue
                 J = frozenset(additive_closure(S, cyclics[i], row_of))
                 reached.update(J)
                 if J not in gens_of:
-                    gens_of[J] = u = t + (g,)
-                    found.add(u)
+                    gens_of[J] = t + (g,)
                     children.append(i)
                     nxt.append((J, children, len(children)))
-        frontier, recorded = nxt, found
+        frontier, kids_of = nxt, {t: set(c) for t, c in kids.items()}
     return sorted(gens_of.items(), key=lambda item: (len(item[0]), sorted(item[0])))
 
 

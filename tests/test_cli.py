@@ -221,6 +221,24 @@ def test_verify_rejects_a_spec_that_admits_nothing(tmp_path, capsys, line):
     assert "corpus spec line 2" in err
 
 
+def test_verify_rejects_a_spec_ring_past_every_bound(tmp_path, capsys, monkeypatch):
+    tabulate = modradical.rings._tabulate
+
+    def bounded(descriptor, n, *args, **kwargs):
+        if n > modradical.modules.DEFAULT_ELEMENT_BOUND:
+            raise AssertionError(f"tabulated {descriptor}")
+        return tabulate(descriptor, n, *args, **kwargs)
+
+    monkeypatch.setattr(modradical.rings, "_tabulate", bounded)
+    spec = tmp_path / "huge.spec"
+    spec.write_text("max_rank 1\nrings Z/4, Z/70000\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("error: corpus spec line 2: ") and "Z/70000" in err and "65536" in err
+    # verify takes no --element-bound, so the message does not offer it
+    assert "--element-bound" not in err
+
+
 @pytest.mark.parametrize("flag", ["--element-bound", "--lattice-bound"])
 def test_verify_rejects_bound_flags(capsys, flag):
     # the corpus spec carries the bounds verify uses, and only compare, radical

@@ -674,6 +674,30 @@ def test_parse_corpus_spec_reports_the_line_of_a_bad_entry(line, message):
     assert "col" not in text
 
 
+@pytest.mark.parametrize("line,ring,size", [
+    ("rings Z/70000", "Z/70000", 70000),
+    ("rings Z/4, GF(65537)", "GF(65537)", 65537),
+    ("rings product(Z/300, Z/300)", "product(Z/300, Z/300)", 90000),
+    ("rings Z/2, product(Z/3, product(Z/70000, Z/2))", "Z/70000", 70000),
+])
+def test_parse_corpus_spec_rejects_a_ring_past_every_bound_before_tabulating_it(
+        monkeypatch, line, ring, size):
+    # expand_corpus admits no module over a ring past DEFAULT_ELEMENT_BOUND at any
+    # rank, so building its tables (about |R|^2 entries each) would be wasted
+    tabulate = rings._tabulate
+
+    def bounded(descriptor, n, *args, **kwargs):
+        if n > modules.DEFAULT_ELEMENT_BOUND:
+            raise AssertionError(f"tabulated {descriptor}")
+        return tabulate(descriptor, n, *args, **kwargs)
+
+    monkeypatch.setattr(rings, "_tabulate", bounded)
+    with pytest.raises(ValueError) as err:
+        parse_corpus_spec(f"max_rank 1\n{line}\n")
+    assert str(err.value) == (f"corpus spec line 2: tabulating the ring {ring} needs {size} "
+                              "elements, but no corpus module may have more than 65536")
+
+
 UNKNOWN_RING = "unknown ring descriptor (expected Z/n, GF(q), or product(...))"
 
 

@@ -400,6 +400,9 @@ def test_enumerate_submodules_matches_subset_oracle():
                  id="z2z4-rank2-mod-12"),
     # over a local ring whose maximal ideal is not principal
     pytest.param(lambda: free_module(xy_ring(), 2), id="xy-rank2"),
+    # recorded tuples of length 3 and 4, so that sets drop more than one element
+    pytest.param(lambda: free_module(make_zn(2), 4), id="z2-rank4"),
+    pytest.param(lambda: free_module(make_zn(3), 3), id="z3-rank3"),
 ])
 def test_enumerate_submodules_matches_breadth_first_reference(make_module):
     M = make_module()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from modradical import modules, predicates
+from modradical import modules, predicates, radical
 from modradical.cli import main
 from modradical.modules import (
     enumerate_submodules,
@@ -30,7 +30,7 @@ from modradical.predicates import (
     prime_by_scan,
     semiprime_by_scan,
 )
-from modradical.radical import first_radical_step, prime_submodules
+from modradical.radical import first_radical_step, prime_submodules, smallest_semiprime_over
 from modradical.rings import is_semiprime_ideal, make_gf, make_product, make_zn
 from modradical.modules import colon_ideal
 
@@ -286,6 +286,39 @@ def test_semiprime_verdict_and_radical_step_share_one_scan(index):
         shared: dict = {}
         for w in witnesses:
             assert shared.setdefault(w.product_members, w.product_members) is w.product_members
+
+
+@pytest.mark.parametrize("index", range(len(SMALL_MODULES)))
+def test_smallest_semiprime_is_the_literal_intersection_with_one_true_scan(monkeypatch, index):
+    M = SMALL_MODULES[index]()
+    lattice = enumerate_submodules(M)
+    semiprimes = [S.member_indices for S in lattice if semiprime_by_scan(S).holds]
+
+    def closed_form(*_):
+        raise AssertionError("smallest_semiprime_over used the closed form")
+
+    for name in ("semiprime_by_nil", "nil_generators", "radical_by_nil"):
+        monkeypatch.setattr(radical, name, closed_form)
+    verdicts = []
+
+    def counted(S):
+        verdict = semiprime_by_scan(S)
+        verdicts.append(verdict.holds)
+        return verdict
+
+    monkeypatch.setattr(radical, "semiprime_by_scan", counted)
+    for N in lattice:
+        expected = frozenset(range(M.element_count))
+        for S in semiprimes:
+            if N.member_indices <= S:
+                expected &= S
+        verdicts.clear()
+        got = smallest_semiprime_over(N)
+        assert got.member_indices == expected
+        # the last scan is the re-check of the result; before it, only the scan
+        # of the least semiprime above N holds, and none when that is M
+        assert verdicts[-1] is True
+        assert verdicts[:-1].count(True) == (0 if len(expected) == M.element_count else 1)
 
 
 # -- squares condition -----------------------------------------------------------

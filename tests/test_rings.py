@@ -279,6 +279,20 @@ def test_ideal_membership_and_order():
     assert zero_ideal(z12).is_zero and not I.is_zero
 
 
+def test_ideal_rejects_an_element_or_ideal_of_another_ring():
+    z6, z12 = make_zn(6), make_zn(12)
+    I = ideal_generate(z12, [4])
+    with pytest.raises(ValueError, match="element of a different ring"):
+        z6.element(4) in I
+    with pytest.raises(ValueError, match="ideals of different rings"):
+        zero_ideal(z6).issubset(I)
+    with pytest.raises(ValueError, match="ideals of different rings"):
+        I.issubset(unit_ideal(z6))
+    # an int is a code of the ideal's own ring, in range or not
+    assert 4 in I and 12 not in I and -1 not in I
+    assert zero_ideal(z12).issubset(I)
+
+
 # In Z/12, 6 has additive order 2, 4 order 3 and 3 order 4; in Z/2 x Z/4
 # (codes a + 2b) 1 has order 2 and 2 has order 4.
 @pytest.mark.parametrize("descriptor,start,gens", [
