@@ -17,13 +17,13 @@ from typing import NamedTuple
 from .instance import (
     InstanceFile,
     ParseError,
+    _Cursor,
     _lines,
     _parse_descriptor,
     format_module,
     format_vec,
     format_vec_list,
     parse_instance,
-    parse_ring_descriptor,
     render_instance,
 )
 from .modules import (
@@ -105,7 +105,10 @@ def expand_corpus(spec: CorpusSpec) -> list[Instance]:
     instances: list[Instance] = []
     seen: set = set()
     for desc in spec.rings:
-        ring = parse_ring_descriptor(desc)
+        cur = _Cursor(desc, 1)
+        ring = _corpus_ring(cur)
+        if not cur.eol:
+            cur.error("trailing text after ring descriptor")
         for rank in range(1, spec.max_rank + 1):
             if ring.size ** rank > DEFAULT_ELEMENT_BOUND:
                 break   # and so is every larger rank
@@ -524,12 +527,21 @@ def _ring_text(cur) -> str:
     """Parse one ring descriptor and return its text, as ``CorpusSpec`` keeps it."""
     cur.skip_ws()
     start = cur.pos
-    try:   # expand_corpus admits no module over a ring past this bound, at any rank
-        _parse_descriptor(cur, DEFAULT_ELEMENT_BOUND)
+    _corpus_ring(cur)
+    return cur.text[start:cur.pos]
+
+
+def _corpus_ring(cur):
+    """Parse one ring descriptor of a corpus spec and build the ring.
+    ``expand_corpus`` admits no module over a ring past ``DEFAULT_ELEMENT_BOUND``,
+    at any rank, so such a ring is rejected before it is tabulated."""
+    cur.skip_ws()
+    start = cur.pos
+    try:
+        return _parse_descriptor(cur, DEFAULT_ELEMENT_BOUND)
     except BoundExceededError as exc:
         cur.error(f"{exc.what} needs {exc.needed} elements, but no corpus module "
                   f"may have more than {exc.bound}", start)
-    return cur.text[start:cur.pos]
 
 
 def _strategy(cur) -> str:

@@ -25,7 +25,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .rings import (
     FiniteRing,
     Ideal,
-    RingElement,
     _as_code,
     additive_closure,
     is_ideal_members,
@@ -155,32 +154,29 @@ class ModulePresentation:
     def _index_of_vec(self, vec) -> int:
         return self._class_of[_code(self.ring.size, vec)]
 
-    def _checked(self, vec: Sequence[int]) -> tuple:
-        vec = tuple(_as_code(self.ring, c) for c in vec)
-        if len(vec) != self.rank:
-            raise ValueError(f"vector {vec} has length {len(vec)}, expected {self.rank}")
-        return vec
-
-    def _is_rep(self, rep) -> bool:
-        size = self.ring.size
-        return (isinstance(rep, tuple) and len(rep) == self.rank
-                and all(isinstance(c, int) and 0 <= c < size for c in rep)
-                and self.elements[self._index_of_vec(rep)] == rep)
-
     def reduce(self, vec: Sequence[int]) -> tuple:
         """Canonical representative of the coset of ``vec``."""
-        return self.elements[self._index_of_vec(self._checked(vec))]
+        return self.elements[self.index_of(vec)]
 
     def index_of(self, item) -> int:
-        """Element index of a vector, representative, or :class:`ModuleElement`."""
+        """Element index of ``item``, the one rule for every element argument: an
+        int index in range, a :class:`ModuleElement` of this module, or a vector
+        whose coordinates are scalars (:func:`~modradical.rings._as_code`)."""
         if isinstance(item, ModuleElement):
             if item.module is not self and item.module != self:
                 raise ValueError("element from a different module")
             return self._index_of_vec(item.rep)
-        return self._index_of_vec(self._checked(item))
+        if isinstance(item, int) and not isinstance(item, bool):
+            if not 0 <= item < self.element_count:
+                raise ValueError(f"index {item} out of range for {self!r}")
+            return item
+        vec = tuple(_as_code(self.ring, c) for c in item)
+        if len(vec) != self.rank:
+            raise ValueError(f"vector {vec} has length {len(vec)}, expected {self.rank}")
+        return self._index_of_vec(vec)
 
     def element(self, vec) -> "ModuleElement":
-        return ModuleElement(self, self.reduce(vec))
+        return self.element_at(self.index_of(vec))
 
     def element_at(self, index: int) -> "ModuleElement":
         return ModuleElement(self, self.elements[index])
@@ -299,33 +295,36 @@ class ModuleElement(namedtuple("ModuleElement", "module rep")):
     _make = classmethod(lambda cls, fields: cls(*fields))   # so that _replace validates too
 
     def __new__(cls, module: ModulePresentation, rep: tuple):
-        if not module._is_rep(rep):
+        try:   # each coordinate must pass _as_code, so (True, 0) is no representative
+            canonical = type(rep) is tuple and module.elements[module.index_of(rep)] == rep
+        except (TypeError, ValueError):
+            canonical = False
+        if not canonical:
             raise ValueError(f"{rep} is not a canonical representative")
         return super().__new__(cls, module, rep)
 
-    def __add__(self, other: "ModuleElement") -> "ModuleElement":
+    def _scaled(self, r, x) -> "ModuleElement":
+        """``r * x`` for a scalar ``r`` and an element argument ``x`` of this module."""
         m = self.module
-        i = m.add_i(m.index_of(self), m.index_of(other))
-        return ModuleElement(m, m.elements[i])
+        return ModuleElement(m, m.elements[m.scale_i(_as_code(m.ring, r), m.index_of(x))])
+
+    def __add__(self, other) -> "ModuleElement":
+        if isinstance(other, int):   # an index is no operand, so m + 3 is a TypeError
+            return NotImplemented
+        m = self.module
+        return ModuleElement(m, m.elements[m.add_i(m.index_of(self), m.index_of(other))])
+
+    def __sub__(self, other) -> "ModuleElement":
+        if isinstance(other, int):
+            return NotImplemented
+        return self + self._scaled(self.module.ring.neg(self.module.ring.one), other)
 
     def __radd__(self, other):   # else tuple + element would concatenate, element * k repeat
         raise TypeError(f"unsupported operand types: {self!r} and {type(other).__name__}")
 
     __mul__ = __radd__
-
-    def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
-
-    def __neg__(self) -> "ModuleElement":
-        m = self.module
-        minus_one = m.ring.neg(m.ring.one)
-        return ModuleElement(m, m.elements[m.scale_i(minus_one, m.index_of(self))])
-
-    def __rmul__(self, r) -> "ModuleElement":
-        if isinstance(r, RingElement):
-            r = r.code
-        m = self.module
-        return ModuleElement(m, m.elements[m.scale_i(r, m.index_of(self))])
+    __neg__ = lambda self: self._scaled(self.module.ring.neg(self.module.ring.one), self)
+    __rmul__ = lambda self, r: self._scaled(r, self)
 
     def __repr__(self) -> str:
         return f"{self.rep}@{self.module!r}"
@@ -369,7 +368,7 @@ class Submodule(NamedTuple):
         return self.member_indices == frozenset({self.module.zero_index})
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, int):
+        if type(item) is int:   # an absent index is no member
             return item in self.member_indices
         return self.module.index_of(item) in self.member_indices
 
@@ -426,9 +425,7 @@ def full_submodule(M: ModulePresentation) -> Submodule:
 
 def submodule_generate(M: ModulePresentation, gens) -> Submodule:
     """Smallest submodule of ``M`` containing ``gens``."""
-    gen_indices = tuple(M.index_of(g) if not isinstance(g, int) else g
-                        for g in gens)
-    return _generate_from_indices(M, gen_indices)
+    return _generate_from_indices(M, tuple(map(M.index_of, gens)))
 
 
 def _generate_from_indices(M: ModulePresentation, gen_indices) -> Submodule:
@@ -461,11 +458,11 @@ def contains(N: Submodule, m) -> bool:
 # -- colon ideals and ideal action ------------------------------------------------
 
 
-def colon_codes(N: Submodule, m_index: int, rows: list[list[int]]) -> frozenset[int]:
-    """Member codes of the colon ideal (N : m) = {r : r*m in N} for one element;
-    ``rows`` is ``scaled_rows(N.module)``.  Scans use :func:`colon_sets`."""
+def colon_codes(N: Submodule, m_index: int) -> frozenset[int]:
+    """Member codes of the colon ideal (N : m) = {r : r*m in N} for the element
+    at ``m_index``, read off the scaled rows.  Scans use :func:`colon_sets`."""
     ms = N.member_indices
-    return frozenset(r for r, row in enumerate(rows) if row[m_index] in ms)
+    return frozenset(r for r, row in enumerate(scaled_rows(N.module)) if row[m_index] in ms)
 
 
 def colon_sets(N: Submodule) -> Iterator[frozenset[int]]:
@@ -494,7 +491,7 @@ def scaled_rows(M: ModulePresentation) -> list[list[int]]:
 def colon_ideal(N: Submodule, m) -> Ideal:
     """The colon ideal (N : m) as a full :class:`~modradical.rings.Ideal`."""
     M = N.module
-    codes = colon_codes(N, M.index_of(m) if not isinstance(m, int) else m, scaled_rows(M))
+    codes = colon_codes(N, M.index_of(m))
     if not is_ideal_members(M.ring, codes):
         raise AssertionError(
             f"colon set {sorted(codes)} is not an ideal in {M.ring.descriptor}")
@@ -596,8 +593,7 @@ class Quotient:
 
     def forward(self, m) -> ModuleElement:
         """Image in M/M' of an element of M."""
-        i = self.source.index_of(m) if not isinstance(m, int) else m
-        return self.module.element_at(self.forward_row[i])
+        return self.module.element_at(self.forward_row[self.source.index_of(m)])
 
     def forward_submodule(self, N: Submodule) -> Submodule:
         """Image of a submodule of M (its coset set) in M/M'."""
@@ -639,12 +635,4 @@ def _relation_span(ring: FiniteRing, rank: int, relations) -> frozenset[int]:
     generated in the interned free module R^rank (where index = code)."""
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
-    codes = []
-    for rel in relations:
-        rel = tuple(_as_code(ring, c) for c in rel)
-        if len(rel) != rank:
-            raise ValueError(
-                f"relation {rel} has length {len(rel)}, expected rank {rank}")
-        codes.append(_code(ring.size, rel))
-    free = _interned(ring, rank, _ZERO_CODES)
-    return _generate_from_indices(free, codes).member_indices
+    return submodule_generate(_interned(ring, rank, _ZERO_CODES), relations).member_indices

@@ -57,7 +57,7 @@ class PredicateWitness(NamedTuple):
         ms = N.member_indices
         if self.kind == "semiprime":
             mi = M.index_of(self.m)
-            colon = colon_codes(N, mi, scaled_rows(M))
+            colon = colon_codes(N, mi)
             product = M.ideal_action(colon)
             return (tuple(sorted(colon)) == self.colon_members
                     and _reps(M, product) == self.product_members

@@ -154,22 +154,17 @@ class RingElement(namedtuple("RingElement", "ring code")):
     _make = classmethod(lambda cls, fields: cls(*fields))   # so that _replace validates too
 
     def __new__(cls, ring: FiniteRing, code: int):
-        if not 0 <= code < ring.size:
-            raise ValueError(f"code {code} out of range for {ring.descriptor}")
-        return super().__new__(cls, ring, code)
+        return super().__new__(cls, ring, _as_code(ring, code))
 
     def _combine(self, other, op):
-        """``op`` on the codes of ``self`` and ``other``, an element of the same
-        ring or an int code, as an element; NotImplemented for anything else."""
-        if isinstance(other, int):
-            other = RingElement(self.ring, other)   # rejects a code out of range
-        elif type(other) is tuple:   # tuple + element would concatenate
+        """``op`` on the codes of ``self`` and ``other``, a scalar of the same ring
+        (see :func:`_as_code`), as an element; NotImplemented for what is not an
+        int or an element."""
+        if type(other) is tuple:   # tuple + element would concatenate
             raise TypeError(f"cannot combine a tuple with {self!r}")
-        elif not isinstance(other, RingElement):
+        if not isinstance(other, (int, RingElement)):
             return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError("elements of different rings")
-        return RingElement(self.ring, op(self.ring, self.code, other.code))
+        return RingElement(self.ring, op(self.ring, self.code, _as_code(self.ring, other)))
 
     __add__ = __radd__ = lambda self, other: self._combine(other, FiniteRing.add)
     __sub__ = lambda self, other: self._combine(other, FiniteRing.sub)
@@ -461,15 +456,18 @@ def is_ideal_members(ring: FiniteRing, members) -> bool:
 
 
 def _as_code(ring: FiniteRing, c) -> int:
-    """The code of scalar ``c``: an element of ``ring`` or an int in range."""
+    """The code of scalar ``c``, the one rule for every scalar argument: an
+    element of ``ring``, or an int (not a bool) in ``0..size-1``."""
     if isinstance(c, RingElement):
         if c.ring != ring:
-            raise ValueError("scalar from a different ring")
+            raise ValueError(f"elements of different rings: {c!r} is not in {ring.descriptor}")
         return c.code
-    code = int(c)
-    if not 0 <= code < ring.size:
-        raise ValueError(f"scalar {code} out of range for {ring.descriptor}")
-    return code
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise TypeError(f"a scalar of {ring.descriptor} is an element or an int code, "
+                        f"not {type(c).__name__} {c!r}")
+    if not 0 <= c < ring.size:
+        raise ValueError(f"code {c} out of range for {ring.descriptor}")
+    return c
 
 
 def ideal_generate(ring: FiniteRing, gens) -> Ideal:

@@ -430,10 +430,9 @@ def test_colon_semiprime_names_the_first_element_of_a_rejected_colon(monkeypatch
     expected = []   # every semiprime N with that colon somewhere fails, and no other
     for inst in expand_corpus(spec):
         M = inst.module
-        rows = modules.scaled_rows(M)
         for N in inst.submodules:
             hits = [i for i in range(M.element_count)
-                    if modules.colon_codes(N, i, rows) == rejected]
+                    if modules.colon_codes(N, i) == rejected]
             if hits and is_semiprime_submodule(N).holds:
                 expected.append(f"colon ideal at {format_vec(M.elements[hits[0]])} "
                                 "is not semiprime")
@@ -674,14 +673,8 @@ def test_parse_corpus_spec_reports_the_line_of_a_bad_entry(line, message):
     assert "col" not in text
 
 
-@pytest.mark.parametrize("line,ring,size", [
-    ("rings Z/70000", "Z/70000", 70000),
-    ("rings Z/4, GF(65537)", "GF(65537)", 65537),
-    ("rings product(Z/300, Z/300)", "product(Z/300, Z/300)", 90000),
-    ("rings Z/2, product(Z/3, product(Z/70000, Z/2))", "Z/70000", 70000),
-])
-def test_parse_corpus_spec_rejects_a_ring_past_every_bound_before_tabulating_it(
-        monkeypatch, line, ring, size):
+@pytest.fixture
+def tabulating_past_the_bound_fails(monkeypatch):
     # expand_corpus admits no module over a ring past DEFAULT_ELEMENT_BOUND at any
     # rank, so building its tables (about |R|^2 entries each) would be wasted
     tabulate = rings._tabulate
@@ -692,10 +685,37 @@ def test_parse_corpus_spec_rejects_a_ring_past_every_bound_before_tabulating_it(
         return tabulate(descriptor, n, *args, **kwargs)
 
     monkeypatch.setattr(rings, "_tabulate", bounded)
+
+
+@pytest.mark.parametrize("line,ring,size", [
+    ("rings Z/70000", "Z/70000", 70000),
+    ("rings Z/4, GF(65537)", "GF(65537)", 65537),
+    ("rings product(Z/300, Z/300)", "product(Z/300, Z/300)", 90000),
+    ("rings Z/2, product(Z/3, product(Z/70000, Z/2))", "Z/70000", 70000),
+])
+def test_parse_corpus_spec_rejects_a_ring_past_every_bound_before_tabulating_it(
+        tabulating_past_the_bound_fails, line, ring, size):
     with pytest.raises(ValueError) as err:
         parse_corpus_spec(f"max_rank 1\n{line}\n")
     assert str(err.value) == (f"corpus spec line 2: tabulating the ring {ring} needs {size} "
                               "elements, but no corpus module may have more than 65536")
+
+
+@pytest.mark.parametrize("texts,ring,size", [
+    (("Z/70000",), "Z/70000", 70000),
+    (("Z/4", "GF(65537)"), "GF(65537)", 65537),
+    (("product(Z/300, Z/300)",), "product(Z/300, Z/300)", 90000),
+    (("Z/2", "product(Z/3, product(Z/70000, Z/2))"), "Z/70000", 70000),
+])
+def test_expand_corpus_rejects_a_ring_past_every_bound_before_tabulating_it(
+        tabulating_past_the_bound_fails, texts, ring, size):
+    # a spec built in Python reads its rings as a spec file does
+    with pytest.raises(ParseError) as err:
+        expand_corpus(CorpusSpec(rings=texts, max_rank=1))
+    assert err.value.message == (f"tabulating the ring {ring} needs {size} elements, "
+                                 "but no corpus module may have more than 65536")
+    with pytest.raises(ParseError, match="trailing text after ring descriptor"):
+        expand_corpus(CorpusSpec(rings=("Z/2 Z/3",)))
 
 
 UNKNOWN_RING = "unknown ring descriptor (expected Z/n, GF(q), or product(...))"

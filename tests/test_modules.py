@@ -23,6 +23,7 @@ from modradical.modules import (
     zero_submodule,
 )
 from modradical.rings import (
+    RingElement,
     ideal_generate,
     is_ideal_members,
     make_gf,
@@ -174,6 +175,76 @@ def test_module_element_rejects_non_canonical_reps():
         with pytest.raises(ValueError):
             ModuleElement(M, rep)
     assert ModuleElement(M, (1, 3)).rep == (1, 3)
+
+
+# -- the two argument rules: rings._as_code for a scalar, index_of for an element ------
+
+Z4 = make_zn(4)
+PLANE = free_module(Z4, 2)   # (Z/4)^2, where the index of (a, b) is 4a + b
+N20 = submodule_generate(PLANE, [(2, 0)])
+Q20 = quotient_module(PLANE, N20)
+
+# each entry point with its argument x put where a scalar goes
+SCALAR_SLOTS = {
+    "submodule_generate": lambda x: submodule_generate(PLANE, [(x, 0)]),
+    "colon_ideal": lambda x: colon_ideal(N20, (x, 0)),
+    "Quotient.forward": lambda x: Q20.forward((x, 0)),
+    "presented_module relations": lambda x: presented_module(Z4, 2, [(x, 0)]),
+    "ideal_generate": lambda x: ideal_generate(Z4, [x]),
+    "RingElement": lambda x: RingElement(Z4, x),
+    "r * m": lambda x: x * PLANE.element((1, 2)),
+}
+NOT_A_SCALAR = "a scalar of Z/4 is an element or an int code, not "
+BAD_SCALARS = {
+    "float": (2.5, TypeError, NOT_A_SCALAR + "float 2.5"),
+    "str": ("1", TypeError, NOT_A_SCALAR + "str '1'"),
+    "bool": (True, TypeError, NOT_A_SCALAR + "bool True"),
+    "negative": (-1, ValueError, "code -1 out of range for Z/4"),
+    "too-large": (4, ValueError, "code 4 out of range for Z/4"),
+    "other-ring": (make_zn(8).element(3), ValueError,
+                   "elements of different rings: 3@Z/8 is not in Z/4"),
+}
+OUT_OF_PLANE = "out of range for Module(Z/4^2, 16 elements)"
+REJECTED = [
+    *(pytest.param(SCALAR_SLOTS[entry], *BAD_SCALARS[kind], id=f"{entry}-{kind}")
+      for entry in SCALAR_SLOTS for kind in BAD_SCALARS
+      # RingElement gave this range error already; the pinned text is its own
+      if not (entry == "RingElement" and kind in ("negative", "too-large"))),
+    # an int in an element's place is an index, checked as one
+    *(pytest.param(call, x, error, message, id=f"{entry}-index-{kind}")
+      for entry, call in [("submodule_generate", lambda x: submodule_generate(PLANE, [x])),
+                          ("colon_ideal", lambda x: colon_ideal(N20, x)),
+                          ("Quotient.forward", Q20.forward)]
+      for kind, x, error, message in [
+          ("negative", -1, ValueError, "index -1 " + OUT_OF_PLANE),
+          ("too-large", 16, ValueError, "index 16 " + OUT_OF_PLANE),
+          ("bool", True, TypeError, "'bool' object is not iterable")]),
+    pytest.param(lambda x: ModuleElement(PLANE, (x, 0)), True, ValueError,
+                 "(True, 0) is not a canonical representative", id="ModuleElement-bool"),
+]
+
+
+@pytest.mark.parametrize("call, x, error, message", REJECTED)
+def test_every_public_argument_passes_the_one_rule_of_its_kind(call, x, error, message):
+    with pytest.raises(error) as err:
+        call(x)
+    assert str(err.value) == message
+
+
+def test_each_accepted_argument_form_names_what_it_named_before():
+    m = PLANE.element((1, 2))
+    for g in [(1, 2), (Z4.element(1), 2), m, 6]:   # a vector, an element, an index
+        assert submodule_generate(PLANE, [g]).members == ((0, 0), (1, 2), (2, 0), (3, 2))
+        assert submodule_generate(PLANE, [g]).generator_indices == (6,)
+        assert colon_ideal(N20, g).members == frozenset({0, 2})
+        assert Q20.forward(g).rep == (1, 2)
+    for r in [2, Z4.element(2)]:   # an int code, an element
+        assert r * m == PLANE.element((2, 0))
+        assert ideal_generate(Z4, [r]).members == frozenset({0, 2})
+        assert presented_module(Z4, 2, [(r, 0)]) is Q20.module
+        assert submodule_generate(PLANE, [(r, 0)]) == N20
+    assert RingElement(Z4, 3).code == 3 and (-m).rep == (3, 2)
+    assert 8 in N20 and 16 not in N20 and -1 not in N20   # an absent index is no member
 
 
 def test_parsing_one_generator_instance_builds_no_scaled_row(monkeypatch):
@@ -506,10 +577,9 @@ def test_colon_sets_match_per_element_colons_and_vector_oracle(make_ring, rank, 
     M = presented_module(ring, rank, relations)
     arith = oracles.CosetArithmetic(ring, rank, relations)
     assert list(M.elements) == arith.elements
-    rows = modules.scaled_rows(M)
     for N in enumerate_submodules(M):
         colons = list(modules.colon_sets(N))
-        assert colons == [modules.colon_codes(N, i, rows) for i in range(M.element_count)]
+        assert colons == [modules.colon_codes(N, i) for i in range(M.element_count)]
         reps = set(N.members)
         assert colons == [oracles.colon_by_vectors(arith, reps, m) for m in M.elements]
         # equal columns share one frozenset

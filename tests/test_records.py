@@ -48,6 +48,7 @@ def test_records_keep_their_operators_equality_and_immutability():
         "m + (1,2)": (lambda: m + (1, 2), M.element((2, 0))),
         "m + m": (lambda: m + m, M.element((2, 0))),
         "m - m": (lambda: m - m, M.element((0, 0))),
+        "m - (1,2)": (lambda: m - (1, 2), M.element((0, 0))),
         "a * 2": (lambda: a * 2, z4.element(2)),
         "2 * a": (lambda: 2 * a, z4.element(2)),
         "a + 1": (lambda: a + 1, z4.element(0)),
@@ -65,6 +66,8 @@ def test_records_keep_their_operators_equality_and_immutability():
         "2 + m": lambda: 2 + m,
         "a + (1,)": lambda: a + (1,),
         "(1,2) * m": lambda: (1, 2) * m,
+        "m + 3": lambda: m + 3,
+        "m - 3": lambda: m - 3,
     }
     for expression, compute in raises.items():
         with pytest.raises(TypeError):
