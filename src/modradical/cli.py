@@ -8,6 +8,7 @@ claim passed), 1 when ``verify`` found counterexamples, the methods of
 
 from __future__ import annotations
 
+import gc
 import sys
 from functools import partial
 from pathlib import Path
@@ -501,6 +502,11 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
 
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # A command's objects form no reference cycles (tests/test_cli.py pins it),
+    # so the cyclic collector would only re-traverse its enumerations: pause it
+    # until the report is written, and resume it only if it ran before.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         instance = None
         if hasattr(args, "file"):  # every command but verify reads an instance file
@@ -516,6 +522,9 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

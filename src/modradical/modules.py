@@ -217,7 +217,8 @@ class ModulePresentation:
         row = self.derived.get((_scaled_row, r))
         if row is not None:
             return row[i]
-        return self._index_of_vec(map(self.ring._mul[r].__getitem__, self.elements[i]))
+        return self._index_of_vec(map(self.ring._mul[_as_code(self.ring, r)].__getitem__,
+                                      self.elements[i]))
 
     def scaled_row(self, r: int) -> list[int]:
         """Index row of the scalar action of ring code ``r``."""
@@ -255,14 +256,19 @@ class ModulePresentation:
 
 
 # -- derived values: the builders of ``ModulePresentation.derived`` --------------
+# A builder checks its key by the argument rule of its kind and then indexes
+# with the key itself, so only an int in range passes: any other key raises
+# and is never kept, while a warm lookup pays nothing for the check.
 
 
 def _add_row(M: ModulePresentation, i: int) -> list[int]:
+    M.index_of(i)
     add = M.ring._add
     return M._row([add[c] for c in M.elements[i]])
 
 
 def _scaled_row(M: ModulePresentation, r: int) -> list[int]:
+    _as_code(M.ring, r)
     return M._row([M.ring._mul[r]] * M.rank)
 
 

@@ -311,6 +311,8 @@ class Ideal(NamedTuple):
             if r.ring != self.ring:
                 raise ValueError("element of a different ring")
             r = r.code
+        elif not isinstance(r, int) or isinstance(r, bool):
+            _as_code(self.ring, r)   # raises: a scalar is an element or an int code
         return r in self.members
 
     @property

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -34,11 +35,14 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
 # -- golden files -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command,instance,golden", [
+STRUCTURED_GOLDENS = [
     ("radical", "z4_zero.instance", "radical_z4_zero.structured"),
     ("radical-trace", "z4sq_torsion.instance", "radical_trace_z4sq.structured"),
     ("check-semiprime", "z6_zero.instance", "check_semiprime_z6_zero.structured"),
-])
+]
+
+
+@pytest.mark.parametrize("command,instance,golden", STRUCTURED_GOLDENS)
 def test_documented_commands_match_golden_bytes(capsys, command, instance, golden):
     code, out, err = run_cli(capsys, command, str(GOLDEN / instance), "N",
                              "--format", "structured")
@@ -135,6 +139,40 @@ def test_radical_exits_one_when_methods_disagree(capsys, monkeypatch):
     assert code == 1
     assert "by iteration:          [(0),(1),(2),(3)]" in out
     assert "methods agree: no" in out
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("exit_path", ["exit-0", "exit-1", "exit-2", "raises"])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, collecting, exit_path):
+    # main pauses the cyclic collector for the command and resumes it on every
+    # way out, but only if it ran on entry
+    seen = []
+    parse, render = modradical.cli.parse_instance, modradical.cli.render_text
+    monkeypatch.setattr(modradical.cli, "parse_instance",
+                        lambda *a: seen.append(gc.isenabled()) or parse(*a))
+    monkeypatch.setattr(modradical.cli, "render_text",
+                        lambda data: seen.append(gc.isenabled()) or render(data))
+    argv = ["radical", str(GOLDEN / "z4_zero.instance"), "N"]
+    if exit_path == "exit-1":
+        monkeypatch.setattr(modradical.cli, "radical_by_iteration",
+                            lambda N: (full_submodule(N.module), None))
+    elif exit_path == "exit-2":
+        argv += ["--lattice-bound", "0"]
+    elif exit_path == "raises":
+        monkeypatch.setattr(modradical.cli, "radical_by_primes", lambda N, bound: 1 / 0)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if exit_path == "raises":
+            with pytest.raises(ZeroDivisionError):
+                main(argv)
+        else:
+            assert main(argv) == int(exit_path[-1])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert seen and not any(seen)
 
 
 def test_compare_exits_one_when_a_row_contradicts_a_theorem(capsys, monkeypatch, tmp_path):
@@ -523,23 +561,62 @@ def _benchmark_module(name: str):
     return module
 
 
+def _pinned_ops(tmp_path):
+    """(workload, op id, argv) of every op whose seed-0 output
+    ``perfbench/digests.json`` pins, with its input written under ``tmp_path``."""
+    workloads = _benchmark_module("workloads")
+    for workload in json.loads((PERFBENCH / "digests.json").read_text()):
+        for op in workloads.WORKLOADS[workload](0):
+            path = tmp_path / op.input_name
+            path.write_text(op.input_text, encoding="utf-8")
+            yield workload, op.op_id, [a.replace("{input}", str(path)) for a in op.argv]
+
+
 def test_benchmark_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
     # every op whose seed-0 output the benchmark pins, run in-process: a change
     # to any report byte fails here and not only in a benchmark run; its
     # modules are interned apart, so other tests still find theirs cold
     monkeypatch.setattr(modradical.modules, "_PRESENTATION_CACHE", {})
-    workloads = _benchmark_module("workloads")
     pins = json.loads((PERFBENCH / "digests.json").read_text())
     digests = {}
-    for workload in pins:
-        for op in workloads.WORKLOADS[workload](0):
-            path, out = tmp_path / op.input_name, tmp_path / f"{op.op_id}.out"
-            path.write_text(op.input_text, encoding="utf-8")
-            argv = [a.replace("{input}", str(path)) for a in op.argv]
-            assert main(argv + ["--out", str(out)]) == 0, op.op_id
-            digests.setdefault(workload, {})[op.op_id] = hashlib.sha256(
-                out.read_bytes()).hexdigest()
+    for workload, op_id, argv in _pinned_ops(tmp_path):
+        out = tmp_path / f"{op_id}.out"
+        assert main(argv + ["--out", str(out)]) == 0, op_id
+        digests.setdefault(workload, {})[op_id] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digests == pins
+
+
+def test_no_command_leaves_garbage_for_the_cyclic_collector(tmp_path, monkeypatch, capsys):
+    # main pauses the cyclic collector for the whole command, which is safe
+    # only while reference counting frees everything a command drops: every
+    # command path must leave no unreachable cycle behind.  The collector is
+    # off throughout, so main leaves it off and no automatic pass can clear a
+    # cycle before the explicit one counts it.
+    monkeypatch.setattr(modradical.modules, "_PRESENTATION_CACHE", {})
+    out = str(tmp_path / "report")
+    runs = [(argv + ["--out", out], 0) for _, _, argv in _pinned_ops(tmp_path)]
+    runs += [([command, str(GOLDEN / instance), "N", "--format", "structured"], 0)
+             for command, instance, _ in STRUCTURED_GOLDENS]
+    runs += [([command, str(GOLDEN / "z4sq_torsion.instance"),
+               *(["N"] if "name" in entry.args else [])], 0)
+             for command, entry in modradical.cli.COMMANDS.items() if command != "verify"]
+    runs.append((["verify", "--spec", str(GOLDEN / "two_rings.spec")], 0))
+    malformed = tmp_path / "malformed.instance"
+    malformed.write_text("ring Z/4\nmodule rank=1 relations=[(1]\n", encoding="utf-8")
+    runs += [(["check-prime", str(malformed), "N"], 2),
+             (["radical", str(GOLDEN / "z4sq_torsion.instance"), "N", "--lattice-bound", "3"], 2),
+             (["check-prime", str(GOLDEN / "z4sq_torsion.instance"), "P"], 2)]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv, expected in runs:
+            gc.collect()
+            code = main(argv)
+            assert (code, gc.collect()) == (expected, 0), argv
+            capsys.readouterr()
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_benchmark_tracer_finds_every_target():

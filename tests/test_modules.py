@@ -247,6 +247,31 @@ def test_each_accepted_argument_form_names_what_it_named_before():
     assert 8 in N20 and 16 not in N20 and -1 not in N20   # an absent index is no member
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("method, key, error, message", [
+    *((method, key, ValueError, f"code {key} out of range for Z/4")
+      for method in ("scaled_row", "image_set", "scale_i") for key in (-1, 4)),
+    *(("add_row", key, ValueError, f"index {key} " + OUT_OF_PLANE) for key in (-1, 16)),
+    # a valid scalar or element in another form is not the key of a row
+    ("scaled_row", Z4.element(1), TypeError, None),
+    ("add_row", (1, 0), TypeError, None),
+])
+def test_index_arithmetic_rejects_a_bad_key_and_keeps_no_row(method, key, error, message,
+                                                              warm):
+    M = ModulePresentation(Z4, 2)   # built directly: a table of its own
+    if warm:
+        for r in range(Z4.size):
+            M.image_set(r)
+        for i in range(M.element_count):
+            M.add_row(i)
+    before = set(M.derived)
+    call = getattr(M, method)
+    with pytest.raises(error) as err:
+        call(key, 5) if method == "scale_i" else call(key)
+    assert message is None or str(err.value) == message
+    assert set(M.derived) == before
+
+
 def test_parsing_one_generator_instance_builds_no_scaled_row(monkeypatch):
     monkeypatch.setattr(modules, "_PRESENTATION_CACHE", {})
     inst = parse_instance("ring Z/16\nmodule rank=4 relations=[]\n"

@@ -293,6 +293,15 @@ def test_ideal_rejects_an_element_or_ideal_of_another_ring():
     assert zero_ideal(z12).issubset(I)
 
 
+@pytest.mark.parametrize("x", [2.0, True, "2", None])
+def test_ideal_membership_takes_an_element_or_an_int_code(x):
+    # 2.0 == 2 and True == 1, so a bare lookup in the member codes would answer
+    with pytest.raises(TypeError) as err:
+        x in ideal_generate(make_zn(4), [2])
+    assert str(err.value) == (f"a scalar of Z/4 is an element or an int code, "
+                              f"not {type(x).__name__} {x!r}")
+
+
 # In Z/12, 6 has additive order 2, 4 order 3 and 3 order 4; in Z/2 x Z/4
 # (codes a + 2b) 1 has order 2 and 2 has order 4.
 @pytest.mark.parametrize("descriptor,start,gens", [
