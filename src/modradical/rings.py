@@ -13,12 +13,10 @@ safe to share between workers.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from math import isqrt, prod
+from operator import itemgetter
 from typing import NamedTuple, Sequence
-
-# Ring axioms are verified by full enumeration up to this size; all the stock
-# corpus rings are far below it.
-AXIOM_CHECK_LIMIT = 256
 
 _RING_CACHE: dict[str, "FiniteRing"] = {}
 
@@ -43,20 +41,13 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.descriptor = descriptor
-        self._add = add_table
-        self._mul = mul_table
-        neg = [None] * size
-        for a in range(size):
-            for b in range(size):
-                if add_table[a][b] == zero:
-                    neg[a] = b
-                    break
-        self._neg = neg
+        self._add = add_table = tuple(map(tuple, add_table))
+        self._mul = tuple(map(tuple, mul_table))
+        self._neg = [row.index(zero) if zero in row else None for row in add_table]
         # product rings fill these in; None elsewhere
         self.factors: tuple[FiniteRing, ...] | None = None
         self._strides: tuple[int, ...] | None = None
-        if size <= AXIOM_CHECK_LIMIT:
-            self._verify_axioms()
+        self._verify_axioms()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -104,36 +95,53 @@ class FiniteRing:
     # -- plumbing -----------------------------------------------------------
 
     def _verify_axioms(self) -> None:
-        n, add, mul = self.size, self._add, self._mul
-        zero, one, d = self.zero, self.one, self.descriptor
+        """Raise :class:`RingConstructionError` unless the tables make a commutative unital ring.
+
+        Identities, inverses and commutativity are checked at every element, the rest on a
+        set G that generates ``(R, +)``: from ``one``, each code not yet reached joins G once
+        it passes (1) and (2), and the reached set grows to its span.
+        (1) ``(x + g) + y == x + (g + y)`` for all x, y (Light's test).  The g that pass are
+            closed under +, as ``(x + (g + h)) + y = ((x + g) + h) + y = (x + g) + (h + y) =
+            x + (g + (h + y)) = x + ((g + h) + y)``, and 0 passes; so + is associative on the
+            span, a subgroup that at least doubles with each g (|G| <= log2|R| + 1).
+        (2) ``a*(g + x) == a*g + a*x`` for all a, x.  By (1) the y with ``a*(y + x) = a*y + a*x``
+            for all x are closed under + (``a*g = a*0 + a*g`` gives ``a*0 = 0``), so each
+            ``x -> a*x`` is additive, and as * commutes it distributes on both sides.
+        (3) ``(g*h)*k == g*(h*k)`` on G^3: by (2) both sides are additive in each argument.
+        """
+        n, add, mul, d = self.size, self._add, self._mul, self.descriptor
         for a in range(n):
-            if add[a][zero] != a:
+            if add[a][self.zero] != a:
                 raise RingConstructionError(f"{d}: additive identity fails at {a}")
-            if mul[a][one] != a:
+            if mul[a][self.one] != a:
                 raise RingConstructionError(f"{d}: multiplicative identity fails at {a}")
             if self._neg[a] is None:
                 raise RingConstructionError(f"{d}: no additive inverse for {a}")
-        for a in range(n):
-            for b in range(n):
-                if add[a][b] != add[b][a]:
-                    raise RingConstructionError(f"{d}: + not commutative at ({a},{b})")
-                if mul[a][b] != mul[b][a]:
-                    raise RingConstructionError(f"{d}: * not commutative at ({a},{b})")
-        for a in range(n):
-            for b in range(n):
-                ab_add = add[a][b]
-                ab_mul = mul[a][b]
-                row_a = mul[a]
-                for c in range(n):
-                    if add[ab_add][c] != add[a][add[b][c]]:
-                        raise RingConstructionError(
-                            f"{d}: + not associative at ({a},{b},{c})")
-                    if mul[ab_mul][c] != mul[a][mul[b][c]]:
-                        raise RingConstructionError(
-                            f"{d}: * not associative at ({a},{b},{c})")
-                    if row_a[add[b][c]] != add[row_a[b]][row_a[c]]:
-                        raise RingConstructionError(
-                            f"{d}: distributivity fails at ({a},{b},{c})")
+        if tuple(zip(*add)) != add or tuple(zip(*mul)) != mul:   # then find where
+            for a, b in product(range(n), repeat=2):
+                for table, op in ((add, "+"), (mul, "*")):
+                    if table[a][b] != table[b][a]:
+                        raise RingConstructionError(f"{d}: {op} not commutative at ({a},{b})")
+        gens, reached = [], {self.zero}
+        for g in (self.one, *range(n)):
+            if g in reached:
+                continue
+            at_g_plus = itemgetter(*add[g])   # a row read at g + y, for each y
+            for x in range(n):
+                want, got = add[add[x][g]], at_g_plus(add[x])
+                if want != got:
+                    y = next(y for y in range(n) if want[y] != got[y])
+                    raise RingConstructionError(f"{d}: + not associative at ({x},{g},{y})")
+            for a in range(n):
+                want, got = at_g_plus(mul[a]), itemgetter(*mul[a])(add[mul[a][g]])
+                if want != got:
+                    x = next(x for x in range(n) if want[x] != got[x])
+                    raise RingConstructionError(f"{d}: distributivity fails at ({a},{g},{x})")
+            gens.append(g)
+            reached = additive_closure(reached, [g], add.__getitem__)
+        for g, h, k in product(gens[1:], repeat=3):   # a triple with one holds by identity
+            if mul[mul[g][h]][k] != mul[g][mul[h][k]]:
+                raise RingConstructionError(f"{d}: * not associative at ({g},{h},{k})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteRing):
@@ -185,19 +193,28 @@ class RingElement(namedtuple("RingElement", "ring code")):
 
 def _tabulate(descriptor: str, size: int, operations, zero: int = 0, one: int = 1,
               **attrs) -> FiniteRing:
-    """The ring interned on ``descriptor``, tabulated from ``operations()``.
+    """The ring interned on ``descriptor``, tabulated one row per call from ``operations()``.
 
     Only a cache miss calls ``operations()``: it raises to reject the ring or returns
-    ``(add, mul)``, read over every pair of codes, axiom-checked and interned with ``attrs``.
+    ``(add_row, mul_row)``, with ``add_row(a)[b] == a + b`` and ``mul_row(a)[b] == a * b``,
+    called once per code; the tables are axiom-checked and interned with ``attrs``.
     """
     ring = _RING_CACHE.get(descriptor)
     if ring is None:
-        codes = range(size)
-        ring = FiniteRing(size, *(tuple(tuple(op(a, b) for b in codes) for a in codes)
-                                  for op in operations()), zero, one, descriptor)
+        ring = FiniteRing(size, *(map(row, range(size)) for row in operations()),
+                          zero, one, descriptor)
         vars(ring).update(attrs)
         _RING_CACHE[descriptor] = ring
     return ring
+
+
+def _mixed_radix_row(rows, strides) -> list[int]:
+    """The row over codes ``b = sum(b_i * strides[i])``, ``b_0`` varying fastest, whose
+    entry at ``b`` is ``sum(rows[i][b_i] * strides[i])``: factor rows composed."""
+    out = [0]
+    for row, s in zip(rows, strides):
+        out = [x + y for y in [v * s for v in row] for x in out]
+    return out
 
 
 def _prime_power(q) -> tuple[int, int] | None:
@@ -216,7 +233,18 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (``n >= 2``)."""
     if not isinstance(n, int) or n < 2:
         raise RingConstructionError(f"modulus must be an integer >= 2, got {n!r}")
-    return _tabulate(f"Z/{n}", n, lambda: (lambda a, b: (a + b) % n, lambda a, b: a * b % n))
+
+    def operations():
+        codes = tuple(range(n))
+        add = [codes[a:] + codes[:a] for a in codes]   # the row of a: the codes rotated by a
+
+        def mul_row(a):   # a*b for m <= b < 2m is a*(b - m) translated by m*a
+            row = [0, a]
+            while len(row) < n:
+                row += itemgetter(*row)(add[len(row) * a % n])
+            return row[:n]
+        return add.__getitem__, mul_row
+    return _tabulate(f"Z/{n}", n, operations)
 
 
 def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
@@ -243,9 +271,6 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
     weights = [p ** i for i in range(k)]
     digits = [[a // w % p for w in weights] for a in range(size)]
 
-    def add(a: int, b: int) -> int:
-        return sum((x + y) % p * w for x, y, w in zip(digits[a], digits[b], weights))
-
     def mul(a: int, b: int) -> int:
         conv = [0] * (2 * k - 1)
         for i, x in enumerate(digits[a]):
@@ -257,11 +282,21 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
         return sum(c % p * w for c, w in zip(conv, weights))
 
     def operations():
-        for a in range(1, size):
-            if 1 not in (mul(a, b) for b in range(1, size)):
+        add = [tuple(_mixed_radix_row([[(c + x) % p for x in range(p)] for c in digits[a]],
+                                      weights)) for a in range(size)]
+
+        def mul_row(a):   # b -> a*b is F_p-linear: the sum of b_i * (a * x^i)
+            row = [0]
+            for w in weights:   # x^i has code w
+                ax, multiples = mul(a, w), [0]
+                while len(multiples) < p:
+                    multiples.append(add[multiples[-1]][ax])
+                row = [add[m][y] for m in multiples for y in row]
+            if a and 1 not in row:
                 raise RingConstructionError(f"polynomial {list(poly)} is reducible over "
                                             f"Z/{p} (code {a} has no inverse)")
-        return add, mul
+            return row
+        return add.__getitem__, mul_row
     return _tabulate(f"GF({size}) poly=[{','.join(map(str, poly))}]", size, operations,
                      char_p=p, degree_k=k)
 
@@ -276,9 +311,8 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
 
     def operations():
         parts = [tuple(a // s % r.size for s, r in zip(strides, rings)) for a in range(size)]
-        return tuple(lambda a, b, op=op: sum(op(r, x, y) * s for r, x, y, s
-                                             in zip(rings, parts[a], parts[b], strides))
-                     for op in (FiniteRing.add, FiniteRing.mul))
+        return [lambda a, ts=ts: _mixed_radix_row([t[x] for t, x in zip(ts, parts[a])], strides)
+                for ts in ([r._add for r in rings], [r._mul for r in rings])]
 
     return _tabulate(f"product({', '.join(r.descriptor for r in rings)})", size, operations,
                      sum(r.zero * s for r, s in zip(rings, strides)),
@@ -307,13 +341,9 @@ class Ideal(NamedTuple):
         return hash(self[:2])
 
     def __contains__(self, r) -> bool:
-        if isinstance(r, RingElement):
-            if r.ring != self.ring:
-                raise ValueError("element of a different ring")
-            r = r.code
-        elif not isinstance(r, int) or isinstance(r, bool):
-            _as_code(self.ring, r)   # raises: a scalar is an element or an int code
-        return r in self.members
+        if isinstance(r, int) and not isinstance(r, bool):
+            return r in self.members   # an int code out of range is simply not a member
+        return _as_code(self.ring, r) in self.members
 
     @property
     def is_proper(self) -> bool:

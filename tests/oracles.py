@@ -140,6 +140,41 @@ def truncated_xy_operations():
     return (lambda u, v: u ^ v), mul
 
 
+def row_builders(operations, size):
+    """Pairwise ``operations()`` as the row builders that ``rings._tabulate`` takes:
+    each row is read by one call per pair."""
+    def rows():
+        return [lambda a, op=op: [op(a, b) for b in range(size)] for op in operations()]
+    return rows
+
+
+def cubic_axiom_failure(add, mul, zero, one):
+    """The first ring axiom the tables break, by checking every element, pair and
+    triple (the reference for ``FiniteRing``'s check); None when they make a
+    commutative unital ring."""
+    n = len(add)
+    for a in range(n):
+        if add[a][zero] != a:
+            return f"additive identity fails at {a}"
+        if mul[a][one] != a:
+            return f"multiplicative identity fails at {a}"
+        if zero not in add[a]:
+            return f"no additive inverse for {a}"
+    for a, b in product(range(n), repeat=2):
+        if add[a][b] != add[b][a]:
+            return f"+ not commutative at ({a},{b})"
+        if mul[a][b] != mul[b][a]:
+            return f"* not commutative at ({a},{b})"
+    for a, b, c in product(range(n), repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return f"+ not associative at ({a},{b},{c})"
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            return f"* not associative at ({a},{b},{c})"
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            return f"distributivity fails at ({a},{b},{c})"
+    return None
+
+
 def smallest_ideal_containing(ring, gens) -> frozenset[int]:
     """Intersection of every ideal set containing ``gens``."""
     gens = set(gens)

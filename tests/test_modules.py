@@ -38,7 +38,8 @@ import oracles
 
 def xy_ring():
     """F2[x,y]/(x,y)^2, tabulated from the oracle's operations."""
-    return rings._tabulate("F2[x,y]/(x,y)^2", 8, oracles.truncated_xy_operations)
+    return rings._tabulate("F2[x,y]/(x,y)^2", 8,
+                           oracles.row_builders(oracles.truncated_xy_operations, 8))
 
 
 def rows_built(M, build):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, product
@@ -112,9 +113,8 @@ def test_prime_power_matches_a_table_of_prime_powers():
 def test_make_gf_tabulates_exactly_the_irreducible_polys(monkeypatch, p, k):
     # every monic poly of degree k; with a fresh cache, the accepted ones are
     # exactly the interned rings, so a rejected poly leaves no entry.  The
-    # oracle pins every table entry, which subsumes the (cubic) axiom check.
+    # oracle pins every table entry.
     monkeypatch.setattr(rings, "_RING_CACHE", {})
-    monkeypatch.setattr(rings, "AXIOM_CHECK_LIMIT", 0)
     reducible = oracles.monic_products(p, k)
     size = p ** k
     digits = [[a // p ** i % p for i in range(k)] for a in range(size)]
@@ -146,8 +146,9 @@ def test_tabulate_sets_up_a_ring_only_on_a_cache_miss(monkeypatch):
         calls.append("Z/3")
         return (lambda a, b: (a + b) % 3), (lambda a, b: a * b % 3)
 
-    ring = rings._tabulate("Z/3", 3, operations)
-    assert rings._tabulate("Z/3", 3, operations) is ring and calls == ["Z/3"]
+    rows = oracles.row_builders(operations, 3)
+    ring = rings._tabulate("Z/3", 3, rows)
+    assert rings._tabulate("Z/3", 3, rows) is ring and calls == ["Z/3"]
 
 
 def test_make_gf_rejects_non_monic():
@@ -282,7 +283,7 @@ def test_ideal_membership_and_order():
 def test_ideal_rejects_an_element_or_ideal_of_another_ring():
     z6, z12 = make_zn(6), make_zn(12)
     I = ideal_generate(z12, [4])
-    with pytest.raises(ValueError, match="element of a different ring"):
+    with pytest.raises(ValueError, match="elements of different rings: 4@Z/6 is not in Z/12"):
         z6.element(4) in I
     with pytest.raises(ValueError, match="ideals of different rings"):
         zero_ideal(z6).issubset(I)
@@ -393,8 +394,8 @@ def test_is_ideal_members_matches_oracle_on_every_subset(descriptor):
     *(pytest.param(lambda d=d: parse_ring_descriptor(d), id=d)
       for d in ["Z/12", "GF(4) poly=[1,1,1]", "product(Z/2, Z/4)", "Z/36", "product(Z/4, Z/4)"]),
     # a local ring whose maximal ideal is not principal
-    pytest.param(lambda: rings._tabulate("F2[x,y]/(x,y)^2", 8, oracles.truncated_xy_operations),
-                 id="F2[x,y]/(x,y)^2"),
+    pytest.param(lambda: rings._tabulate("F2[x,y]/(x,y)^2", 8, oracles.row_builders(
+        oracles.truncated_xy_operations, 8)), id="F2[x,y]/(x,y)^2"),
 ])
 def test_enumerate_ideals_matches_breadth_first_reference(make_ring):
     ring = make_ring()
@@ -434,7 +435,18 @@ def test_axioms_are_checked_at_construction():
         FiniteRing(3, bad_add, mul, 0, 1, "broken")
 
 
+def uv_product(a, b):
+    """A commutative, distributive, unital but not associative product on (Z/2)^3:
+    the code of c0 + c1*u + c2*v is c0 + 2*c1 + 4*c2, and u*u = v*v = 0, u*v = 1,
+    so (u*u)*v = 0 while u*(u*v) = u."""
+    (a0, a1, a2), (b0, b1, b2) = ((c & 1, c >> 1 & 1, c >> 2) for c in (a, b))
+    return (a0 * b0 + a1 * b2 + a2 * b1) % 2 + 2 * ((a0 * b1 + a1 * b0) % 2) \
+        + 4 * ((a0 * b2 + a2 * b0) % 2)
+
+
 # Each pair of tables breaks exactly the axiom named, and no check made before it.
+# + associativity is checked at (x, g, y), distributivity a*(g + x) = a*g + a*x at
+# (a, g, x) and * associativity at (g, h, k), for g, h, k in the additive generators.
 @pytest.mark.parametrize("add,mul,message", [
     (((0, 1), (0, 0)), ((0, 0), (0, 1)), "additive identity fails at 1"),
     (((0, 1), (1, 0)), ((0, 0), (0, 0)), "multiplicative identity fails at 1"),
@@ -443,14 +455,99 @@ def test_axioms_are_checked_at_construction():
     (((0, 1), (1, 0)), ((0, 0), (1, 1)), r"\* not commutative at \(0,1\)"),
     (((0, 1, 2), (1, 1, 0), (2, 0, 1)), ((0, 0, 0), (0, 1, 2), (0, 2, 1)),
      r"\+ not associative at \(1,1,2\)"),
-    (((0, 1, 2), (1, 2, 0), (2, 0, 1)), ((0, 0, 1), (0, 1, 2), (1, 2, 1)),
-     r"\* not associative at \(0,0,2\)"),
-    (((0, 1), (1, 0)), ((1, 0), (0, 1)), r"distributivity fails at \(0,0,0\)"),
+    (tuple(tuple(a ^ b for b in range(8)) for a in range(8)),
+     tuple(tuple(uv_product(a, b) for b in range(8)) for a in range(8)),
+     r"\* not associative at \(2,2,4\)"),
+    (((0, 1), (1, 0)), ((1, 0), (0, 1)), r"distributivity fails at \(0,1,0\)"),
 ], ids=["add-identity", "mul-identity", "add-inverse", "add-commutative",
         "mul-commutative", "add-associative", "mul-associative", "distributive"])
 def test_each_ring_axiom_is_checked_at_construction(add, mul, message):
     with pytest.raises(RingConstructionError, match=f"^broken: {message}$"):
         FiniteRing(len(add), add, mul, 0, 1, "broken")
+    assert oracles.cubic_axiom_failure(add, mul, 0, 1) is not None
+
+
+def constructs(add, mul, zero=0, one=1) -> bool:
+    try:
+        FiniteRing(len(add), add, mul, zero, one, "candidate")
+    except RingConstructionError:
+        return False
+    return True
+
+
+def symmetric_tables(n, fixed):
+    """Every symmetric n x n table whose row and column ``fixed`` is the identity."""
+    free = [(a, b) for a in range(n) for b in range(a, n) if fixed not in (a, b)]
+    for values in product(range(n), repeat=len(free)):
+        table = [[b if a == fixed else a if b == fixed else None for b in range(n)]
+                 for a in range(n)]
+        for (a, b), v in zip(free, values):
+            table[a][b] = table[b][a] = v
+        yield tuple(map(tuple, table))
+
+
+def test_axiom_check_agrees_with_the_cubic_reference_on_every_small_table_pair():
+    verdicts = []
+    for n in (2, 3):
+        for add, mul in product(list(symmetric_tables(n, 0)), list(symmetric_tables(n, 1))):
+            verdicts.append(constructs(add, mul))
+            assert verdicts[-1] == (oracles.cubic_axiom_failure(add, mul, 0, 1) is None), \
+                (add, mul)
+    # Z/2, and Z/3 with its codes 0 and 1 fixed
+    assert len(verdicts) == 4 + 729 and verdicts.count(True) == 2
+
+
+GF4 = "GF(4) poly=[1,1,1]"
+STOCK_RINGS_UP_TO_16 = [f"Z/{n}" for n in range(2, 17)] + [GF4, "GF(8) poly=[1,1,0,1]"] + [
+    f"product({', '.join(factors)})" for factors in [
+        ("Z/2", "Z/2"), ("Z/2", "Z/3"), ("Z/3", "Z/2"), ("Z/2", "Z/4"), ("Z/2", GF4),
+        ("Z/2", "Z/5"), ("Z/2", "Z/6"), ("Z/2", "Z/8"), ("Z/3", "Z/3"), ("Z/3", "Z/4"),
+        (GF4, "Z/3"), ("Z/3", "Z/5"), ("Z/4", "Z/4"), ("Z/4", GF4), (GF4, GF4),
+        ("Z/2", "Z/2", "Z/2"), ("Z/2", "Z/2", "Z/4"), ("Z/2", "Z/2", "Z/2", "Z/2")]]
+
+
+@pytest.mark.parametrize("descriptor", STOCK_RINGS_UP_TO_16)
+def test_axiom_check_agrees_with_the_cubic_reference_on_corrupted_stock_rings(descriptor):
+    # 1-3 entries changed, each in both (a, b) and (b, a) except one change in four,
+    # so most corruptions get past the commutative laws
+    ring = parse_ring_descriptor(descriptor)
+    rng = random.Random(f"corrupt {descriptor}")
+    verdicts = []
+    for _ in range(400):
+        tables = [list(map(list, ring._add)), list(map(list, ring._mul))]
+        for _ in range(rng.randint(1, 3)):
+            table, a, b, v = rng.choice(tables), *(rng.randrange(ring.size) for _ in range(3))
+            table[a][b] = v
+            if rng.random() < 0.75:
+                table[b][a] = v
+        add, mul = (tuple(map(tuple, t)) for t in tables)
+        verdicts.append(constructs(add, mul, ring.zero, ring.one))
+        assert verdicts[-1] == \
+            (oracles.cubic_axiom_failure(add, mul, ring.zero, ring.one) is None), (add, mul)
+    assert not all(verdicts)
+
+
+def test_a_corrupted_ring_past_256_elements_is_rejected():
+    z257 = make_zn(257)
+    mul = [list(row) for row in z257._mul]
+    mul[2][3] = mul[3][2] = 7
+    with pytest.raises(RingConstructionError, match=r"^broken: distributivity fails at \(2,1,2\)$"):
+        FiniteRing(257, z257._add, mul, 0, 1, "broken")
+
+
+def test_row_built_tables_match_the_pairwise_definitions():
+    for n in range(2, 65):
+        ring, codes = make_zn(n), range(n)
+        assert ring._add == tuple(tuple((a + b) % n for b in codes) for a in codes)
+        assert ring._mul == tuple(tuple(a * b % n for b in codes) for a in codes)
+    for descriptor in STOCK_RINGS_UP_TO_16 + ["product(Z/6, GF(9) poly=[1,0,1])"]:
+        ring = parse_ring_descriptor(descriptor)
+        if ring.factors is None:
+            continue
+        for table, op in ((ring._add, FiniteRing.add), (ring._mul, FiniteRing.mul)):
+            assert table == tuple(tuple(
+                ring.join(map(op, ring.factors, ring.split(a), ring.split(b)))
+                for b in range(ring.size)) for a in range(ring.size)), descriptor
 
 
 def test_axioms_are_checked_under_optimize():
