@@ -277,10 +277,12 @@ def _check_iteration(module, subs, lattice_bound, *_):
     The chain grows by construction: ``radical_by_iteration`` raises on a
     step that shrinks, so no chain it returns does.  Every witness must
     replay; the fixpoint must be semiprime, equal ``radical_by_nil`` and,
-    with the lattice enumerated, equal ``radical_by_primes``.  That also
-    puts the first step inside every prime P above N: the chain only grows,
-    so the first step lies in the fixpoint, which is the intersection of all
-    such P.
+    with the lattice enumerated, equal ``radical_by_primes``.  That method
+    intersects the primes of M/N, the quotient that M keeps since
+    PROP-QUOTIENT-CORRESPONDENCE built it, and pulls the result back to M;
+    the bound still gates |M|.  That also puts the first step inside every
+    prime P above N: the chain only grows, so the first step lies in the
+    fixpoint, which is the intersection of all such P.
     """
     N = subs["N"]
     literal = semiprime_by_scan(N)
@@ -312,6 +314,13 @@ def _check_iteration(module, subs, lattice_bound, *_):
 
 
 def _check_radical_eq(module, subs, lattice_bound, *_):
+    """The intersection of the primes above N equals the smallest semiprime
+    above N, and a proper N is semiprime exactly when it is its own radical.
+
+    Both lattice methods walk the lattice of M/N, the quotient M keeps, and
+    pull their result back to M; the bound gates |M| all the same, and
+    ``smallest_semiprime_over`` re-checks its result by the literal scan in M.
+    """
     N = subs["N"]
     by_primes = radical_by_primes(N, lattice_bound)
     smallest = smallest_semiprime_over(N, lattice_bound)

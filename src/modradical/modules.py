@@ -9,8 +9,8 @@ found before any coset is built, as rings are in ``rings._RING_CACHE`` on
 their descriptor.  Each module's ``derived`` table keeps what is computed
 from it: index rows, r*M, I*M, the basis images r*e_j, Nil(R), the literal
 semiprime verdicts per member set, whether each colon (P:M) is a prime
-ideal, the lattice and the prime list, keyed by (builder, an int, a
-frozenset or None).
+ideal, the lattice, the prime list and the quotient by each submodule asked
+for, keyed by (builder, an int, a frozenset or None).
 Nothing is evicted from either.
 Tuple representatives only appear at the API surface; everything else is
 immutable after construction and all operations are pure.
@@ -561,6 +561,16 @@ def join(N1: Submodule, N2: Submodule) -> Submodule:
     return Submodule(M, members, N1.generator_indices + N2.generator_indices)
 
 
+def check_lattice_bound(M: ModulePresentation, lattice_bound: int) -> None:
+    """Raise :class:`BoundExceededError` when ``M`` has more elements than
+    ``lattice_bound``: the one gate of every walk over M's submodules, or
+    over those above some N, which M/N's lattice gives."""
+    if M.element_count > lattice_bound:
+        raise BoundExceededError(
+            f"submodule lattice of {M!r}", M.element_count, lattice_bound,
+            "--lattice-bound")
+
+
 def enumerate_submodules(M: ModulePresentation,
                          lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
     """Every submodule of ``M``, by join-closure over cyclic submodules.
@@ -569,10 +579,7 @@ def enumerate_submodules(M: ModulePresentation,
     The result is sorted by (size, member list) and kept in ``M.derived``;
     the bound is checked first, so it holds warm or cold.
     """
-    if M.element_count > lattice_bound:
-        raise BoundExceededError(
-            f"submodule lattice of {M!r}", M.element_count, lattice_bound,
-            "--lattice-bound")
+    check_lattice_bound(M, lattice_bound)
     return list(M.derived[_lattice, None])
 
 
@@ -583,17 +590,16 @@ class Quotient:
     """The quotient M/M' together with its forward and backward coset maps.
 
     Its relation submodule is the preimage of M' under M's coset map, read
-    from M's cosets; the quotient is interned on it and built from it."""
+    from M's cosets; the quotient is interned on it and built from it.  M's
+    ``derived`` table keeps the quotient module per member set of M', so
+    later quotients by the same M' skip that read."""
 
     def __init__(self, source: ModulePresentation, sub: Submodule):
         if sub.module != source:
             raise ValueError("submodule does not live in the given module")
         self.source = source
         self.submodule = sub
-        class_of = source._class_of
-        kernel = frozenset(compress(
-            range(len(class_of)), map(sub.member_indices.__contains__, class_of)))
-        self.module = _interned(source.ring, source.rank, kernel)
+        self.module = source.derived[_quotient, sub.member_indices]
         # same ring and rank, so ambient codes agree
         self.forward_row = list(map(self.module._class_of.__getitem__, source._rep_codes))
 
@@ -626,6 +632,14 @@ class Quotient:
 def quotient_module(M: ModulePresentation, sub: Submodule) -> Quotient:
     """Quotient presentation M/M' plus coset maps; the presentation is interned."""
     return Quotient(M, sub)
+
+
+def _quotient(M: ModulePresentation, ms: frozenset[int]) -> ModulePresentation:
+    """M modulo the submodule with member set ``ms``, interned on the ambient
+    codes of every coset in ``ms``."""
+    class_of = M._class_of
+    kernel = frozenset(compress(range(len(class_of)), map(ms.__contains__, class_of)))
+    return _interned(M.ring, M.rank, kernel)
 
 
 def _code(size: int, vec) -> int:

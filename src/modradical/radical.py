@@ -4,7 +4,9 @@
 the submodule lattice, and records a step-by-step trace of the growing
 chain.  ``radical_by_primes`` and ``smallest_semiprime_over`` realize the
 definitional forms (intersection of primes above N; intersection of
-semiprimes above N) and are gated by the lattice bound.  ``radical_by_nil``
+semiprimes above N).  Both walk the lattice of M/N, whose submodules are
+the images of those above N, and pull their result back to M; the lattice
+bound gates |M| all the same.  ``radical_by_nil``
 is the closed form N + Nil(R)*M over a finite ring, one closure.  On every
 module the four must agree, which the harness and the acceptance suite
 certify.  The first three do not rest on the closed form:
@@ -23,9 +25,11 @@ from .modules import (
     DEFAULT_LATTICE_BOUND,
     ModulePresentation,
     Submodule,
+    check_lattice_bound,
     enumerate_submodules,
     full_submodule,
     intersect,
+    quotient_module,
     _grow,
     _lattice,
 )
@@ -130,7 +134,7 @@ def radical_by_nil(N: Submodule) -> Submodule:
 def prime_submodules(M: ModulePresentation,
                      lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
     """All prime submodules of ``M``, in lattice order (kept in ``M.derived``)."""
-    enumerate_submodules(M, lattice_bound)  # checks the bound, warm or cold
+    check_lattice_bound(M, lattice_bound)
     return list(M.derived[_prime_list, None])
 
 
@@ -140,30 +144,43 @@ def _prime_list(M: ModulePresentation, _) -> list[Submodule]:
 
 def radical_by_primes(N: Submodule,
                       lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Submodule:
-    """Intersection of every prime submodule containing N; M when none does."""
-    above = [P for P in prime_submodules(N.module, lattice_bound) if N.issubset(P)]
-    return reduce(intersect, above) if above else full_submodule(N.module)
+    """Intersection of every prime submodule containing N; M when none does.
+
+    The primes above N are the preimages of the primes of M/N, so this is
+    the preimage of the intersection of M/N's primes.  The bound gates |M|.
+    """
+    M = N.module
+    check_lattice_bound(M, lattice_bound)
+    q = quotient_module(M, N)
+    primes = prime_submodules(q.module, lattice_bound)
+    return q.backward_submodule(reduce(intersect, primes)) if primes else full_submodule(M)
 
 
 def smallest_semiprime_over(N: Submodule,
                             lattice_bound: int = DEFAULT_LATTICE_BOUND) -> Submodule:
     """Intersection of every semiprime submodule containing N.
 
-    The family is never empty (the whole module is semiprime), and the
-    intersection of semiprimes is itself semiprime, which is re-checked here.
+    The semiprimes above N are the preimages of the semiprimes of M/N
+    (certified as PROP-QUOTIENT-CORRESPONDENCE), so this intersects those of
+    M/N and returns the preimage; the bound gates |M|.  The family is never
+    empty (the whole module is semiprime), and the intersection of
+    semiprimes is itself semiprime, which is re-checked here, in M.
     Semiprimeness is the literal scan's, so this method does not rest on the
     closed form of :func:`radical_by_nil`.
 
     A set that contains the running intersection is not scanned, since
     intersecting with it changes nothing whatever its verdict.  The lattice
     comes in size order, so the one scan before the re-check that can hold is
-    that of the least semiprime above N, and only when it is not M.
+    that of the least semiprime of M/N, and only when it is not all of M/N.
     """
     M = N.module
-    out = full_submodule(M)
-    for S in enumerate_submodules(M, lattice_bound):
-        if N.issubset(S) and not out.issubset(S) and semiprime_by_scan(S).holds:
+    check_lattice_bound(M, lattice_bound)
+    q = quotient_module(M, N)
+    out = full_submodule(q.module)
+    for S in enumerate_submodules(q.module, lattice_bound):
+        if not out.issubset(S) and semiprime_by_scan(S).holds:
             out = intersect(out, S)
+    out = q.backward_submodule(out)
     if not semiprime_by_scan(out).holds:
         raise AssertionError(
             f"intersection {sorted(out.member_indices)} of semiprimes is not semiprime")

@@ -13,7 +13,7 @@ safe to share between workers.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from math import isqrt, prod
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -108,8 +108,21 @@ class FiniteRing:
             for all x are closed under + (``a*g = a*0 + a*g`` gives ``a*0 = 0``), so each
             ``x -> a*x`` is additive, and as * commutes it distributes on both sides.
         (3) ``(g*h)*k == g*(h*k)`` on G^3: by (2) both sides are additive in each argument.
+        First both tables must be n x n with every entry a code, which the checks index by.
         """
         n, add, mul, d = self.size, self._add, self._mul, self.descriptor
+        codes = frozenset(range(n))
+        for table, op in ((add, "+"), (mul, "*")):
+            if len(table) != n or set(map(len, table)) != {n}:
+                raise RingConstructionError(f"{d}: the {op} table is not {n} x {n}")
+            if not codes.issuperset(chain.from_iterable(table)):
+                a, b = next((a, b) for a in range(n) for b in range(n)
+                            if table[a][b] not in codes)
+                raise RingConstructionError(
+                    f"{d}: {op} table entry at ({a},{b}) is {table[a][b]!r}, not a code")
+        if not codes.issuperset((self.zero, self.one)):
+            raise RingConstructionError(
+                f"{d}: zero {self.zero!r} or one {self.one!r} is not a code")
         for a in range(n):
             if add[a][self.zero] != a:
                 raise RingConstructionError(f"{d}: additive identity fails at {a}")
@@ -268,20 +281,21 @@ def make_gf(p: int, k: int, poly: Sequence[int]) -> FiniteRing:
     if poly[k] != 1:
         raise RingConstructionError("reduction polynomial must be monic")
     size = p ** k
-    weights = [p ** i for i in range(k)]
-    digits = [[a // w % p for w in weights] for a in range(size)]
-
-    def mul(a: int, b: int) -> int:
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(digits[a]):
-            for j, y in enumerate(digits[b]):
-                conv[i + j] += x * y
-        for i in range(2 * k - 2, k - 1, -1):  # x^i = x^(i-k) * (x^k - poly)
-            for j in range(k):
-                conv[i - k + j] -= conv[i] * poly[j]
-        return sum(c % p * w for c, w in zip(conv, weights))
 
     def operations():
+        weights = [p ** i for i in range(k)]
+        digits = [[a // w % p for w in weights] for a in range(size)]
+
+        def mul(a: int, b: int) -> int:
+            conv = [0] * (2 * k - 1)
+            for i, x in enumerate(digits[a]):
+                for j, y in enumerate(digits[b]):
+                    conv[i + j] += x * y
+            for i in range(2 * k - 2, k - 1, -1):  # x^i = x^(i-k) * (x^k - poly)
+                for j in range(k):
+                    conv[i - k + j] -= conv[i] * poly[j]
+            return sum(c % p * w for c, w in zip(conv, weights))
+
         add = [tuple(_mixed_radix_row([[(c + x) % p for x in range(p)] for c in digits[a]],
                                       weights)) for a in range(size)]
 

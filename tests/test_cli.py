@@ -492,6 +492,18 @@ def test_lattice_bound_exceeded_names_flag(tmp_path, capsys):
     assert "--lattice-bound" in err
 
 
+def test_lattice_bound_gates_the_module_not_its_quotient(tmp_path, capsys):
+    # radical walks the lattice of M/N, whose 128 elements fit the bound, but
+    # the bound gates |M| = 256
+    inst = tmp_path / "big.instance"
+    inst.write_text("ring Z/4\nmodule rank=4 relations=[]\nsubmodule N gens=[(2,0,0,0)]\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "radical", str(inst), "N", "--lattice-bound", "200")
+    assert (code, out) == (2, "")
+    assert err == ("error: submodule lattice of Module(Z/4^4, 256 elements) needs 256 "
+                   "elements but the bound is 200; raise it with --lattice-bound\n")
+
+
 def test_element_bound_exceeded_names_flag(tmp_path, capsys):
     inst = tmp_path / "huge.instance"
     inst.write_text("ring Z/12\nmodule rank=3 relations=[]\nsubmodule N gens=[]\n",

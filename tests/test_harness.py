@@ -492,23 +492,49 @@ def quotient_tally(spec):
     return {c.claim_id: c for c in report.claims}["PROP-QUOTIENT-CORRESPONDENCE"]
 
 
-def test_quotient_reports_a_backward_map_that_drops_a_member(monkeypatch):
-    backward = modules.Quotient.backward_submodule
+def _patch_quotients(monkeypatch, owner, name, wrap):
+    """Replace method ``name`` by ``wrap(method)`` on each quotient that the
+    module ``owner`` builds: ``harness`` builds those of
+    PROP-QUOTIENT-CORRESPONDENCE, ``radical`` those of the lattice methods."""
+    build = owner.quotient_module
 
-    def dropping(self, Nq):
-        B = backward(self, Nq)
+    def built(M, sub):
+        q = build(M, sub)
+        setattr(q, name, wrap(getattr(q, name)))
+        return q
+
+    monkeypatch.setattr(owner, "quotient_module", built)
+
+
+def _dropping(backward):
+    def dropping(Nq):
+        B = backward(Nq)
         if B.size == 1:
             return B
         return modules.Submodule(B.module, B.member_indices - {max(B.member_indices)},
                                  B.generator_indices)
+    return dropping
 
-    monkeypatch.setattr(modules.Quotient, "backward_submodule", dropping)
+
+def test_quotient_reports_a_backward_map_that_drops_a_member(monkeypatch):
+    _patch_quotients(monkeypatch, harness, "backward_submodule", _dropping)
     tally = quotient_tally(spec_of(rings=("Z/4", "Z/6")))
     # only the two zero modules pass: every preimage there has one member
     assert (tally.checked, tally.failed) == (226, 224)
     assert all(f.detail.startswith("backward(forward(N)) != N for [")
                for f in tally.findings)
     assert all(f.replay() for f in tally.findings[:5])
+
+
+def test_a_backward_map_that_drops_a_member_breaks_the_lattice_methods(monkeypatch):
+    # the lattice methods pull their result back from M/N: a lost member is
+    # a THM-ITERATION finding, and smallest_semiprime_over's re-check raises
+    _patch_quotients(monkeypatch, radical, "backward_submodule", _dropping)
+    zero = modules.zero_submodule(presented_module(rings.make_zn(4), 1))
+    assert harness._check_iteration(zero.module, {"N": zero}, 256) == (
+        "iterated radical differs from the intersection of primes: [(0),(2)] vs [(0)]")
+    with pytest.raises(AssertionError, match="of semiprimes is not semiprime"):
+        verify_all(spec_of(rings=("Z/4", "Z/6")))
 
 
 def test_quotient_reports_a_flipped_quotient_verdict(monkeypatch):
@@ -571,13 +597,13 @@ def test_quotient_walks_each_pair_once(monkeypatch):
     # the lattice when it was enumerated and the selected submodules otherwise
     calls = {"forward_submodule": 0, "backward_submodule": 0}
     for name in calls:
-        method = getattr(modules.Quotient, name)
+        def counted(method, _name=name):
+            def count(N):
+                calls[_name] += 1
+                return method(N)
+            return count
 
-        def counted(self, N, _method=method, _name=name):
-            calls[_name] += 1
-            return _method(self, N)
-
-        monkeypatch.setattr(modules.Quotient, name, counted)
+        _patch_quotients(monkeypatch, harness, name, counted)
     spec = spec_of(rings=("Z/4", "Z/6"), relation_strategies=("free", "cyclic", "random"),
                    lattice_bound=8)
     report = verify_all(spec)

@@ -4,11 +4,13 @@ import ast
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
 from modradical import modules, predicates, radical
+from modradical.harness import DEFAULT_CORPUS_SPEC, expand_corpus
 from modradical.modules import (
     BoundExceededError,
     ModulePresentation,
@@ -19,7 +21,7 @@ from modradical.modules import (
     submodule_generate,
     zero_submodule,
 )
-from modradical.predicates import is_semiprime_submodule
+from modradical.predicates import is_semiprime_submodule, prime_by_scan, semiprime_by_scan
 from modradical.radical import (
     first_radical,
     first_radical_step,
@@ -32,6 +34,7 @@ from modradical.radical import (
 from modradical.rings import make_gf, make_product, make_zn
 
 import oracles
+from test_predicates import SMALL_MODULES as PREDICATE_MODULES
 
 
 @pytest.fixture
@@ -252,6 +255,43 @@ def test_three_methods_agree_on_small_modules():
             assert by_primes.member_indices == by_iter.member_indices
             assert by_primes.member_indices == by_smallest.member_indices
             assert by_primes.member_indices == radical_by_nil(N).member_indices
+
+
+def _meets_above(M):
+    """The reference for the two lattice methods, read off all of M's lattice:
+    for each N, the intersections of the primes and of the semiprimes above
+    N, both by the literal scans."""
+    lattice = enumerate_submodules(M, M.element_count)
+    primes = [P.member_indices for P in lattice if prime_by_scan(P).holds]
+    semiprimes = [S.member_indices for S in lattice if semiprime_by_scan(S).holds]
+    whole = frozenset(range(M.element_count))
+
+    def meet(family, ms):
+        return reduce(frozenset.intersection, [F for F in family if ms <= F], whole)
+
+    return {N.member_indices: (meet(primes, N.member_indices), meet(semiprimes, N.member_indices))
+            for N in lattice}
+
+
+def test_lattice_methods_match_the_full_lattice_of_m():
+    # both methods walk M/N and pull back; the reference walks M itself
+    modules_seen = {}
+    for seed in range(3):
+        spec = DEFAULT_CORPUS_SPEC._replace(
+            seed=seed, relation_strategies=("free", "cyclic", "random"))
+        for inst in expand_corpus(spec):
+            if inst.lattice_complete:
+                modules_seen[id(inst.module)] = inst.module
+    for factory in PREDICATE_MODULES:
+        M = factory()
+        modules_seen[id(M)] = M
+    assert len(modules_seen) > 200
+    for M in modules_seen.values():
+        meets = _meets_above(M)
+        for N in enumerate_submodules(M):
+            by_primes, smallest = meets[N.member_indices]
+            assert radical_by_primes(N).member_indices == by_primes, (M, N)
+            assert smallest_semiprime_over(N).member_indices == smallest, (M, N)
 
 
 def test_semiprime_iff_radical_fixpoint():

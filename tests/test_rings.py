@@ -433,6 +433,22 @@ def test_axioms_are_checked_at_construction():
     mul = tuple(tuple((a * b) % 3 for b in range(3)) for a in range(3))
     with pytest.raises(RingConstructionError):
         FiniteRing(3, bad_add, mul, 0, 1, "broken")
+    # the axiom checks index by table entries, so an entry that is no code is
+    # rejected before them, and so is a table of the wrong shape
+    add = make_zn(3)._add
+    big = tuple(tuple(5 if (a, b) == (2, 2) else v for b, v in enumerate(row))
+                for a, row in enumerate(mul))
+    with pytest.raises(RingConstructionError,
+                       match=r"^broken: \* table entry at \(2,2\) is 5, not a code$"):
+        FiniteRing(3, add, big, 0, 1, "broken")
+    negative = (add[0], add[1], (2, -1, 1))
+    with pytest.raises(RingConstructionError,
+                       match=r"^broken: \+ table entry at \(2,1\) is -1, not a code$"):
+        FiniteRing(3, negative, mul, 0, 1, "broken")
+    with pytest.raises(RingConstructionError, match=r"^broken: the \* table is not 3 x 3$"):
+        FiniteRing(3, add, mul[:2], 0, 1, "broken")
+    with pytest.raises(RingConstructionError, match=r"^broken: zero 0 or one 3 is not a code$"):
+        FiniteRing(3, add, mul, 0, 3, "broken")
 
 
 def uv_product(a, b):
