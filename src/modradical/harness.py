@@ -150,7 +150,7 @@ def _relation_lists(spec: CorpusSpec, ring, rank: int, strategy: str):
 def _select_submodules(spec: CorpusSpec, module: ModulePresentation,
                        instance_id: str) -> tuple[tuple[Submodule, ...], bool]:
     if module.element_count <= spec.lattice_bound:
-        return tuple(enumerate_submodules(module, spec.lattice_bound)), True
+        return enumerate_submodules(module, spec.lattice_bound), True
     rng = random.Random(f"{spec.seed}|{instance_id}|submodules")
     found = {zero_submodule(module), full_submodule(module)}
     for _ in range(spec.submodule_samples):
@@ -267,22 +267,18 @@ def _check_intersection(module, subs, *_):
     return None
 
 
-def _check_iteration(module, subs, lattice_bound, *_):
-    """The radical chain of N grows, replays and ends at rad(N) = N + Nil(R)M
-    = the intersection of the primes above N.
+def _check_iteration(module, subs, *_):
+    """The radical chain of N grows, replays and ends at rad(N) = N + Nil(R)M.
 
     First the closed-form semiprime decision, Nil(R)M <= N, must agree with
     the literal scan, its boolean before the verdict and witness, so that a
     wrong decision either way is a finding and not the library's error.
     The chain grows by construction: ``radical_by_iteration`` raises on a
     step that shrinks, so no chain it returns does.  Every witness must
-    replay; the fixpoint must be semiprime, equal ``radical_by_nil`` and,
-    with the lattice enumerated, equal ``radical_by_primes``.  That method
-    intersects the primes of M/N, the quotient that M keeps since
-    PROP-QUOTIENT-CORRESPONDENCE built it, and pulls the result back to M;
-    the bound still gates |M|.  That also puts the first step inside every
-    prime P above N: the chain only grows, so the first step lies in the
-    fixpoint, which is the intersection of all such P.
+    replay; the fixpoint must be semiprime and equal ``radical_by_nil``,
+    which THM-RADICAL-EQ-SEMIPRIME ties to the intersection of the primes
+    P above N.  The chain only grows, so its first step lies in every such
+    P.  No lattice is read, so sampled units get the same checks.
     """
     N = subs["N"]
     literal = semiprime_by_scan(N)
@@ -304,22 +300,15 @@ def _check_iteration(module, subs, lattice_bound, *_):
         return ("iterated radical differs from N + Nil(R)M: "
                 f"{format_vec_list(fixpoint.members)} vs "
                 f"{format_vec_list(by_nil.members)}")
-    if lattice_bound is not None:
-        by_primes = radical_by_primes(N, lattice_bound)
-        if fixpoint.member_indices != by_primes.member_indices:
-            return ("iterated radical differs from the intersection of primes: "
-                    f"{format_vec_list(fixpoint.members)} vs "
-                    f"{format_vec_list(by_primes.members)}")
     return None
 
 
 def _check_radical_eq(module, subs, lattice_bound, *_):
     """The intersection of the primes above N equals the smallest semiprime
-    above N, and a proper N is semiprime exactly when it is its own radical.
-
-    Both lattice methods walk the lattice of M/N, the quotient M keeps, and
-    pull their result back to M; the bound gates |M| all the same, and
-    ``smallest_semiprime_over`` re-checks its result by the literal scan in M.
+    above N and N + Nil(R)M, and a proper N is semiprime exactly when it is
+    its own radical.  With THM-ITERATION, every complete unit ties all four
+    radical methods.  Both lattice methods walk the lattice of M/N, which M
+    keeps, and pull back to M; the bound gates |M| all the same.
     """
     N = subs["N"]
     by_primes = radical_by_primes(N, lattice_bound)
@@ -328,6 +317,11 @@ def _check_radical_eq(module, subs, lattice_bound, *_):
         return ("radical differs from the smallest semiprime overmodule: "
                 f"{format_vec_list(by_primes.members)} vs "
                 f"{format_vec_list(smallest.members)}")
+    by_nil = radical_by_nil(N)
+    if by_primes.member_indices != by_nil.member_indices:
+        return ("intersection of primes differs from N + Nil(R)M: "
+                f"{format_vec_list(by_primes.members)} vs "
+                f"{format_vec_list(by_nil.members)}")
     if N.is_proper:
         fixed = by_primes.member_indices == N.member_indices
         if semiprime_by_scan(N).holds != fixed:

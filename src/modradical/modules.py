@@ -289,9 +289,9 @@ def _ideal_action(M: ModulePresentation, codes: frozenset[int]) -> frozenset[int
     return frozenset(additive_closure({M.zero_index}, gens, M.add_row))
 
 
-def _lattice(M: ModulePresentation, _) -> list[Submodule]:
+def _lattice(M: ModulePresentation, _) -> tuple[Submodule, ...]:
     joins = lattice_by_joins(M.element_count, M.zero_index, scaled_rows(M), M.add_row)
-    return [Submodule(M, ms, gens) for ms, gens in joins]
+    return tuple(Submodule(M, ms, gens) for ms, gens in joins)
 
 
 class ModuleElement(namedtuple("ModuleElement", "module rep")):
@@ -572,15 +572,15 @@ def check_lattice_bound(M: ModulePresentation, lattice_bound: int) -> None:
 
 
 def enumerate_submodules(M: ModulePresentation,
-                         lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
+                         lattice_bound: int = DEFAULT_LATTICE_BOUND) -> tuple[Submodule, ...]:
     """Every submodule of ``M``, by join-closure over cyclic submodules.
 
     Every submodule is a join of cyclic ones, so the sweep is exhaustive.
-    The result is sorted by (size, member list) and kept in ``M.derived``;
-    the bound is checked first, so it holds warm or cold.
+    The result is sorted by (size, member list) and is the tuple kept in
+    ``M.derived``; the bound is checked first, so it holds warm or cold.
     """
     check_lattice_bound(M, lattice_bound)
-    return list(M.derived[_lattice, None])
+    return M.derived[_lattice, None]
 
 
 # -- quotients -----------------------------------------------------------------------

@@ -132,14 +132,14 @@ def radical_by_nil(N: Submodule) -> Submodule:
 
 
 def prime_submodules(M: ModulePresentation,
-                     lattice_bound: int = DEFAULT_LATTICE_BOUND) -> list[Submodule]:
-    """All prime submodules of ``M``, in lattice order (kept in ``M.derived``)."""
+                     lattice_bound: int = DEFAULT_LATTICE_BOUND) -> tuple[Submodule, ...]:
+    """All prime submodules of ``M``, in lattice order: the tuple ``M.derived`` keeps."""
     check_lattice_bound(M, lattice_bound)
-    return list(M.derived[_prime_list, None])
+    return M.derived[_prime_list, None]
 
 
-def _prime_list(M: ModulePresentation, _) -> list[Submodule]:
-    return [P for P in M.derived[_lattice, None] if prime_by_colon(P)]
+def _prime_list(M: ModulePresentation, _) -> tuple[Submodule, ...]:
+    return tuple(P for P in M.derived[_lattice, None] if prime_by_colon(P))
 
 
 def radical_by_primes(N: Submodule,

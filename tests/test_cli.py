@@ -598,6 +598,31 @@ def test_benchmark_outputs_match_their_pinned_digests(tmp_path, monkeypatch):
     assert digests == pins
 
 
+# A copy of ``CORPUS_SPEC`` in perfbench/workloads.py: the default corpus plus
+# the seeded ``random`` relation strategy, which the verify-corpus workload runs.
+BENCHMARK_CORPUS_SPEC = """\
+rings Z/2, Z/3, Z/4, Z/5, Z/6, Z/8, Z/9, Z/12, GF(4) poly=[1,1,1], product(Z/2, Z/4)
+max_rank 2
+strategies free, cyclic, random
+element_bound 64
+lattice_bound 256
+seed 0
+"""
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "b573c101018418c2cb7cddae394e1f42687d7b4103a2824fd33d08b1d1e9c197"),
+    (1, "7715e08bc513ea38521cf9d6fe95ab271ab975ed6c64bfd7fd9c98f4ca909543"),
+    (2, "c7a8a73a406a040ecf6ce9c71a684d5d98eb69fb8e61d106b4522835aa420342"),
+])
+def test_structured_verify_of_the_benchmark_corpus_is_pinned(tmp_path, seed, digest):
+    spec, out = tmp_path / "corpus.spec", tmp_path / "verify.out"
+    spec.write_text(BENCHMARK_CORPUS_SPEC, encoding="utf-8")
+    argv = ["verify", "--spec", str(spec), "--seed", str(seed), "--format", "structured"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_no_command_leaves_garbage_for_the_cyclic_collector(tmp_path, monkeypatch, capsys):
     # main pauses the cyclic collector for the whole command, which is safe
     # only while reference counting frees everything a command drops: every

@@ -226,15 +226,16 @@ def test_verify_z4_alone_checks_iteration_on_three_submodules():
     assert by_id["THM-ITERATION"].failed == 0
 
 
-@pytest.mark.parametrize("nil_agrees,detail", [
-    (False, "iterated radical differs from N + Nil(R)M: "),
-    (True, "iterated radical differs from the intersection of primes: "),
+@pytest.mark.parametrize("nil_agrees,claim_id,detail", [
+    (False, "THM-ITERATION", "iterated radical differs from N + Nil(R)M: "),
+    (True, "THM-RADICAL-EQ-SEMIPRIME", "intersection of primes differs from N + Nil(R)M: "),
 ])
 def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch, nil_agrees,
-                                                                  detail):
+                                                                  claim_id, detail):
     # a first step of M leaves the chain growing and its fixpoint semiprime,
-    # so only the comparisons with N + Nil(R)M and, when that closed form is
-    # made to agree with the fault, with the intersection of primes catch it
+    # so only the comparison with N + Nil(R)M catches it; when that closed
+    # form is made to agree with the fault, THM-ITERATION passes and the
+    # closed form's comparison with the intersection of primes catches it
     monkeypatch.setattr(radical, "first_radical_step",
                         lambda N: (modules.full_submodule(N.module), ()))
     if nil_agrees:
@@ -242,11 +243,57 @@ def test_iteration_fails_when_the_first_step_is_the_whole_module(monkeypatch, ni
                             lambda N: modules.full_submodule(N.module))
     report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
     by_id = {c.claim_id: c for c in report.claims}
-    tally = by_id.pop("THM-ITERATION")
+    tally = by_id.pop(claim_id)
     assert (tally.checked, tally.failed) == (15, 8)
     assert all(f.detail.startswith(detail) for f in tally.findings)
     assert all(f.replay() for f in tally.findings)
     assert all(c.failed == 0 for c in by_id.values())
+
+
+def test_each_radical_eq_unit_intersects_the_primes_once(monkeypatch):
+    calls = []
+    by_primes = harness.radical_by_primes
+    monkeypatch.setattr(harness, "radical_by_primes",
+                        lambda N, bound: calls.append(N) or by_primes(N, bound))
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    tally = {c.claim_id: c for c in report.claims}["THM-RADICAL-EQ-SEMIPRIME"]
+    assert report.ok and tally.checked == len(calls) == 15
+
+
+def test_iteration_reads_no_lattice(monkeypatch):
+    # THM-ITERATION checks complete and sampled units alike, with no lattice method
+    corpus = expand_corpus(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+
+    def walked(*_):
+        raise AssertionError("THM-ITERATION walked a lattice")
+
+    for mod, name in [(harness, "radical_by_primes"), (harness, "smallest_semiprime_over"),
+                      (harness, "enumerate_submodules"), (radical, "radical_by_primes"),
+                      (radical, "smallest_semiprime_over"), (radical, "enumerate_submodules"),
+                      (radical, "prime_submodules"), (modules, "enumerate_submodules")]:
+        monkeypatch.setattr(mod, name, walked)
+    check = harness.CLAIMS["THM-ITERATION", "N", False]
+    results = [check(inst.module, {"N": N}, bound, inst.submodules)
+               for inst in corpus for N in inst.submodules for bound in (256, None)]
+    assert results == [None] * 30
+
+
+def test_lattice_methods_that_agree_on_m_fail_against_the_closed_form(monkeypatch):
+    # primes and smallest semiprime agree with each other, so only the
+    # comparison with N + Nil(R)M catches them, on the 8 units whose radical is not M
+    for name in ("radical_by_primes", "smallest_semiprime_over"):
+        monkeypatch.setattr(harness, name, lambda N, bound: modules.full_submodule(N.module))
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tally = by_id.pop("THM-RADICAL-EQ-SEMIPRIME")
+    assert (tally.checked, tally.failed) == (15, 8) and not report.ok
+    assert all(re.fullmatch(r"intersection of primes differs from N \+ Nil\(R\)M: "
+                            r"\[[(),0-9]*\] vs \[[(),0-9]*\]", f.detail)
+               for f in tally.findings)
+    assert all(c.failed == 0 for c in by_id.values())
+    assert all(f.replay() for f in tally.findings)
+    monkeypatch.undo()
+    assert not any(f.replay() for f in tally.findings)
 
 
 @pytest.mark.parametrize("decision,failed", [(True, 1), (False, 14)])
@@ -316,9 +363,6 @@ def _semiprime_verdict_without_its_witness(N):
      r"semiprime does not coincide with being a radical submodule"),
     ("is_semiprime_submodule", _semiprime_verdict_without_its_witness,
      "THM-ITERATION", 15, 1, r"semiprime verdict differs from the literal scan"),
-    ("radical_by_nil", lambda N: N,
-     "THM-ITERATION", 15, 1,
-     r"iterated radical differs from N \+ Nil\(R\)M: \[[(),0-9]*\] vs \[[(),0-9]*\]"),
 ])
 def test_each_claim_failure_surfaces_as_a_finding_that_replays(
         monkeypatch, name, fault, claim_id, checked, failed, detail):
@@ -332,6 +376,24 @@ def test_each_claim_failure_surfaces_as_a_finding_that_replays(
     assert all(f.replay() for f in tally.findings)
     monkeypatch.undo()
     assert not any(f.replay() for f in tally.findings)
+
+
+def test_a_closed_form_radical_of_n_fails_both_radical_claims(monkeypatch):
+    # N + Nil(R)M read as N differs on the one non-semiprime submodule, the
+    # zero of Z/4, from the fixpoint and from the intersection of primes
+    monkeypatch.setattr(harness, "radical_by_nil", lambda N: N)
+    report = verify_all(spec_of(rings=("Z/4", "Z/6"), max_rank=1))
+    by_id = {c.claim_id: c for c in report.claims}
+    tallies = [by_id.pop("THM-ITERATION"), by_id.pop("THM-RADICAL-EQ-SEMIPRIME")]
+    assert [(t.checked, t.failed) for t in tallies] == [(15, 1), (15, 1)]
+    assert [f.detail for t in tallies for f in t.findings] == [
+        "iterated radical differs from N + Nil(R)M: [(0),(2)] vs [(0)]",
+        "intersection of primes differs from N + Nil(R)M: [(0),(2)] vs [(0)]"]
+    assert all(c.failed == 0 for c in by_id.values()) and not report.ok
+    findings = report.findings
+    assert all(f.replay() for f in findings)
+    monkeypatch.undo()
+    assert not any(f.replay() for f in findings)
 
 
 def test_a_colon_test_that_calls_every_colon_prime_fails_against_the_literal_scan(monkeypatch):
@@ -527,14 +589,18 @@ def test_quotient_reports_a_backward_map_that_drops_a_member(monkeypatch):
 
 
 def test_a_backward_map_that_drops_a_member_breaks_the_lattice_methods(monkeypatch):
-    # the lattice methods pull their result back from M/N: a lost member is
-    # a THM-ITERATION finding, and smallest_semiprime_over's re-check raises
+    # the lattice methods pull their result back from M/N, which
+    # THM-ITERATION never reads: smallest_semiprime_over's re-check raises,
+    # and with that method out of the way a lost member is the
+    # THM-RADICAL-EQ-SEMIPRIME finding against the closed form
     _patch_quotients(monkeypatch, radical, "backward_submodule", _dropping)
     zero = modules.zero_submodule(presented_module(rings.make_zn(4), 1))
-    assert harness._check_iteration(zero.module, {"N": zero}, 256) == (
-        "iterated radical differs from the intersection of primes: [(0),(2)] vs [(0)]")
+    assert harness._check_iteration(zero.module, {"N": zero}) is None
     with pytest.raises(AssertionError, match="of semiprimes is not semiprime"):
         verify_all(spec_of(rings=("Z/4", "Z/6")))
+    monkeypatch.setattr(harness, "smallest_semiprime_over", radical.radical_by_primes)
+    assert harness._check_radical_eq(zero.module, {"N": zero}, 256) == (
+        "intersection of primes differs from N + Nil(R)M: [(0)] vs [(0),(2)]")
 
 
 def test_quotient_reports_a_flipped_quotient_verdict(monkeypatch):
@@ -757,6 +823,7 @@ UNKNOWN_RING = "unknown ring descriptor (expected Z/n, GF(q), or product(...))"
     ("rings product(Z/2, Z/3", "corpus spec line 2: expected ')'"),
     ("rings GF(4) poly=[1,1,1", "corpus spec line 2: expected ']'"),
     ("rings GF(4) poly=[1,1,1,]", "corpus spec line 2: expected an integer"),
+    ("rings Z/\u00b2", "corpus spec line 2: expected an integer"),
     ("rings Z/2 Z/3", "corpus spec line 2: trailing text after ring descriptor"),
     ("strategies free,", "corpus spec line 2: expected a name"),
     ("strategies ,free", "corpus spec line 2: expected a name"),

@@ -227,6 +227,10 @@ def test_instance_lists_reject_what_the_one_list_rule_rejects(text, line, col, m
     ("# a comment\n\n", 3, 1, "missing ring line"),
     ("ring Z/4\n", 2, 1, "missing module line"),
     ("ring Z/1", 1, 6, "modulus must be an integer >= 2, got 1"),
+    # '\u00b2' (superscript two) passes str.isdigit but is no integer literal
+    ("ring Z/\u00b2", 1, 8, "expected an integer"),
+    ("ring Z/4\nmodule rank=\u00b2 relations=[]", 2, 13, "expected an integer"),
+    (Z4_PLANE + "submodule N gens=[(\u00b2)]", 3, 20, "expected an integer"),
     ("ring product(Z/2, Z/0)", 1, 19, "modulus must be an integer >= 2, got 0"),
     ("ring GF(4) poly=[1,0,1]", 1, 6,
      "polynomial [1, 0, 1] is reducible over Z/2 (code 3 has no inverse)"),
